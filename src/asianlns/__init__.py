@@ -10,11 +10,11 @@ verifies the series and quantifies its projection error.
 
 __version__ = "0.1.0"
 
-from .errors import (AsianLnsError, CholeskyBreakdownError, ConditioningWarning,
-                     MomentOverflowError, NumericalError, ValidationError)
+from .errors import (AsianLnsError, ConditioningWarning, MomentOverflowError,
+                     NumericalError, ValidationError)
 from .model import GeneratorMatrix, MarketParams, MomentVector, generator, mean_average, moments
-from .basis import (GramMatrix, OrthonormalBasis, WeightParams, default_weight,
-                    gram, orthonormal_basis, recurrence_coefficients, weight_density)
+from .basis import (OrthonormalBasis, WeightParams, default_weight, gram,
+                    orthonormal_basis, weight_density)
 from .pricer import (DensityApproximant, SeriesApproximation, density_approx,
                      likelihood_coefficients, payoff_coefficients, payoff_norm_sq,
                      price, scaled_payoff_projections)
@@ -26,12 +26,12 @@ from .mc import (DensityGridEstimate, ErrorBound, McConfig, McEstimate, PathBatc
 from .benchmarks import benchmark_cases, reference_case, reference_data
 
 __all__ = [
-    "AsianLnsError", "CholeskyBreakdownError", "ConditioningWarning",
-    "MomentOverflowError", "NumericalError", "ValidationError",
+    "AsianLnsError", "ConditioningWarning", "MomentOverflowError",
+    "NumericalError", "ValidationError",
     "GeneratorMatrix", "MarketParams", "MomentVector", "generator",
     "mean_average", "moments",
-    "GramMatrix", "OrthonormalBasis", "WeightParams", "default_weight", "gram",
-    "orthonormal_basis", "recurrence_coefficients", "weight_density",
+    "OrthonormalBasis", "WeightParams", "default_weight", "gram",
+    "orthonormal_basis", "weight_density",
     "DensityApproximant", "SeriesApproximation", "density_approx",
     "likelihood_coefficients", "payoff_coefficients", "payoff_norm_sq", "price",
     "scaled_payoff_projections",

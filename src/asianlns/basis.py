@@ -1,33 +1,34 @@
-"""Log-normal weight, Gram matrices and the orthonormal polynomial basis.
+"""Log-normal weight, scaled Gram matrix and the orthonormal polynomial basis.
 
 The approximation space is L^2 of a log-normal weight w with parameters
 (mu, nu).  Orthonormalizing the monomials against w only needs the weight's
-moments, which form a Hankel matrix with entries exp(mu (i+j) + (i+j)^2
-nu^2 / 2).  Working with the raw Hankel matrix overflows quickly, so the
-basis is built from the scaled matrix Mbar_ij = exp(i j nu^2), related to
-the raw one by a diagonal similarity with the weight moments
-s_i = exp(i mu + i^2 nu^2 / 2).
+moments s_i = exp(i mu + i^2 nu^2 / 2).  Their Hankel matrix s_{i+j}
+overflows quickly, so the basis is built against the scaled monomials
+u_k(x) = x^k / s_k, whose Gram matrix is Mbar_ij = exp(i j nu^2).
 
 Mbar is the moment matrix of the Stieltjes-Wigert polynomials, the
 orthogonal family of the log-normal weight (Koekoek, Lesky & Swarttouw,
 *Hypergeometric Orthogonal Polynomials and their q-Analogues*, 14.27), so
-its Cholesky factor is known in closed form: with q = exp(nu^2),
+it factors in closed form: with q = exp(nu^2) and
+F_j = prod_{m<=j} (q^m - 1),
 
-    Mbar = B D B^T,  B_jk = [j choose k]_q,
-    D_k = q^{k(k-1)/2} prod_{m<=k} (q^m - 1),
+    Mbar = B D B^T,  B_jk = [j choose k]_q = F_j / (F_k F_{j-k}),
+    D_k = q^{k(k-1)/2} F_k.
 
-and L = B D^{1/2}.  The inverse is closed form as well,
-(B^{-1})_nk = (-1)^{n-k} q^{(n-k)(n-k-1)/2} [n choose k]_q, so the basis
-coefficients cbar = L^{-1} are built from positive products alone, with
-no factorization of the numerically singular Mbar and no triangular solve.
-Their alternating signs still cancel when a coefficient <h, b_n> is formed;
-the rounding estimate eta = u max_n sum_k |cbar_nk| sqrt(Mbar_kk) bounds
-that noise for any unit-norm h, because |<h, u_k>| <= sqrt(Mbar_kk).
+The basis coefficients cbar = D^{-1/2} B^{-1} are closed form as well,
 
-Three constructions are provided: the closed-form factor, a LAPACK
-Cholesky factorization of Mbar and the closed-form three-term recurrence.
-Each degrades in a well-understood regime (see ``orthonormal_basis``);
-``auto`` picks a workable route.
+    cbar_nk = (-1)^{n-k} q^{(n-k)(n-k-1)/2 - n(n-1)/4} sqrt(F_n) / (F_k F_{n-k}),
+
+and are built from log F_j = sum_{m<=j} log expm1(m nu^2), so no entry
+overflows at large nu^2 or N and no matrix is factorized.
+
+The alternating signs still cancel when a coefficient <h, b_n> is formed.
+The per-row rounding estimate eta_n = u sum_k |cbar_nk| sqrt(Mbar_kk) (u the
+unit roundoff) bounds that noise for any unit-norm h, because
+|<h, u_k>| <= sqrt(Mbar_kk).  eta_n grows with n and with 1/nu^2; the rows
+of cbar from the first degree whose eta_n exceeds ``CLOSED_FORM_ETA_MAX``
+on are exact zeros, so every consumer of the basis sees the same truncated
+series.
 """
 
 from __future__ import annotations
@@ -35,26 +36,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Optional
+from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import (CholeskyBreakdownError, ConditioningWarning, NumericalError,
-                     ValidationError)
+from .errors import ConditioningWarning, NumericalError, ValidationError
 from .model import MarketParams, _check_degree
 
-#: reciprocal-condition estimate below which a basis build warns
-RCOND_WARN_THRESHOLD = 1e-13
-
-#: pivot ratio d_n / Mbar_nn below which a degree counts as unresolvable in
-#: double precision (coefficient noise exceeds ~1e-7 there)
-RESOLVABLE_PIVOT_RATIO = 1e-8
-
-#: largest rounding estimate eta at which ``auto`` uses the closed-form
-#: factor: the coefficient noise it allows stays an order of magnitude
-#: below the 1e-4 price tolerance of a unit-spot market
+#: largest rounding estimate eta_n of a kept basis degree: the coefficient
+#: noise it allows stays an order of magnitude below the 1e-4 price
+#: tolerance of a unit-spot market
 CLOSED_FORM_ETA_MAX = 1e-5
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -113,128 +105,49 @@ def weight_density(weight: WeightParams, x) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * weight.nu * x)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Moment matrix of the monomials under the weight.
+def gram(weight: WeightParams, N: int) -> np.ndarray:
+    """The (N+1) x (N+1) scaled Gram matrix Mbar_ij = exp(i j nu^2).
 
-    raw form:    M_ij   = exp(mu (i+j) + (i+j)^2 nu^2 / 2)   (Hankel)
-    scaled form: Mbar_ij = exp(i j nu^2),  M = S Mbar S.
+    It is the Gram matrix of the scaled monomials u_k = x^k / s_k; the raw
+    moment matrix of the monomials is S Mbar S with S = diag(s_k).
     """
-
-    N: int
-    entries: np.ndarray = field(repr=False)
-    form: str  # 'raw' | 'scaled'
-
-    @cached_property
-    def rcond_estimate(self) -> float:
-        """Reciprocal 2-norm condition estimate (diagnostic)."""
-        try:
-            c = np.linalg.cond(self.entries)
-        except np.linalg.LinAlgError:  # pragma: no cover
-            return 0.0
-        return float(1.0 / c) if np.isfinite(c) and c > 0 else 0.0
-
-
-def gram(weight: WeightParams, N: int, form: str = "scaled") -> GramMatrix:
-    """Build the (N+1) x (N+1) Gram matrix of the monomials."""
     N = _check_degree(N)
-    if form not in ("raw", "scaled"):
-        raise ValidationError(f"unknown gram form {form!r}", module="basis")
     i = np.arange(N + 1, dtype=float)
     with np.errstate(over="ignore"):
-        if form == "raw":
-            s = np.add.outer(i, i)
-            entries = np.exp(weight.mu * s + 0.5 * s**2 * weight.nu2)
-        else:
-            entries = np.exp(np.outer(i, i) * weight.nu2)
+        entries = np.exp(np.outer(i, i) * weight.nu2)
     if not np.all(np.isfinite(entries)):
         raise NumericalError(
             f"gram matrix entries overflow for N={N}, nu^2={weight.nu2:.4g}",
             module="basis")
-    return GramMatrix(N=N, entries=entries, form=form)
-
-
-def _pivot_scan(M: np.ndarray):
-    """Cholesky pivots of M computed row by row.
-
-    Returns (pivots, break_index) where pivots[j] is the j-th pivot d_j and
-    break_index is the first j with d_j <= 0 (len(M) if none).
-    """
-    n = M.shape[0]
-    L = np.zeros_like(M)
-    pivots = np.full(n, np.nan)
-    for j in range(n):
-        d = M[j, j] - L[j, :j] @ L[j, :j]
-        pivots[j] = d
-        if not (d > 0.0) or not np.isfinite(d):
-            return pivots, j
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return pivots, n
-
-
-def recurrence_coefficients(weight: WeightParams, N: int):
-    """Three-term recurrence coefficients of the orthonormal family.
-
-    b_0 = 1,  b_1 = (x - alpha_0) / beta_1,
-    b_n = ((x - alpha_{n-1}) b_{n-1} - beta_{n-1} b_{n-2}) / beta_n,
-
-    with
-
-    alpha_n = exp(mu + nu^2 (n - 1/2)) (exp(nu^2 (n+1)) + exp(nu^2 n) - 1)
-    beta_n  = exp(mu + nu^2 (3n - 2) / 2) sqrt(exp(nu^2 n) - 1).
-
-    Returns (alpha[0..N-1], beta[1..N] as beta[0..N-1]).
-    """
-    N = _check_degree(N)
-    mu, nu2 = weight.mu, weight.nu2
-    n = np.arange(N, dtype=float)
-    with np.errstate(over="ignore"):
-        alpha = np.exp(mu + nu2 * (n - 0.5)) * (np.exp(nu2 * (n + 1)) + np.exp(nu2 * n) - 1.0)
-        m = np.arange(1, N + 1, dtype=float)
-        beta = np.exp(mu + 0.5 * nu2 * (3.0 * m - 2.0)) * np.sqrt(np.expm1(nu2 * m))
-    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-        raise NumericalError("recurrence coefficients overflow", module="basis")
-    return alpha, beta
+    return entries
 
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Degree-N orthonormal polynomial basis under a log-normal weight.
 
-    The canonical representation is the lower-triangular matrix ``cbar``
-    of coefficients against the *scaled monomials* u_k(x) = x^k / s_k:
+    The representation is the lower-triangular matrix ``cbar`` of
+    coefficients against the *scaled monomials* u_k(x) = x^k / s_k:
 
         b_n(x) = sum_k cbar[n, k] u_k(x).
 
-    For a Cholesky construction cbar = Lbar^{-1}; for the recurrence it is
-    accumulated directly.  Every b_n has a positive leading coefficient.
+    Rows 0 .. ``resolvable_degree`` hold the closed-form coefficients, each
+    with a positive leading coefficient; the rows above are exact zeros.
 
     Attributes
     ----------
-    jitter : float
-        Diagonal regularization added to the scaled Gram matrix before
-        factorizing (0.0 on the clean path).  A non-zero jitter means
-        coefficients beyond ``resolvable_degree`` are damped rather than
-        meaningful.
     resolvable_degree : int
-        Largest degree whose Cholesky pivot ratio stays above
-        ``RESOLVABLE_PIVOT_RATIO``; coefficient-level comparisons between
-        construction methods are only meaningful up to here.  Equals N for
-        the recurrence construction (pointwise values remain accurate even
-        when small-nu coefficient extraction would not be).
+        Largest degree kept: up to it every row's rounding estimate eta_n
+        is at most ``CLOSED_FORM_ETA_MAX``.
+    jitter : float
+        Always 0.0: no diagonal regularization is ever added to Mbar.
     """
 
     weight: WeightParams
     N: int
-    method: str  # 'cholesky_scaled' | 'recurrence'
     cbar: np.ndarray = field(repr=False)
-    chol_factor: Optional[np.ndarray] = field(repr=False, default=None)
-    alpha: Optional[np.ndarray] = field(repr=False, default=None)
-    beta: Optional[np.ndarray] = field(repr=False, default=None)
-    jitter: float = 0.0
-    resolvable_degree: int = -1
+    resolvable_degree: int
+    jitter: ClassVar[float] = 0.0
 
     def solve_scaled(self, vbar: np.ndarray) -> np.ndarray:
         """Coefficients <g, b_n> from scaled moments vbar_k = <g, x^k>/s_k."""
@@ -272,197 +185,84 @@ class OrthonormalBasis:
         return C
 
     def gram_identity_error(self) -> float:
-        """max |cbar Mbar cbar^T - I|, the orthonormality defect."""
-        Mbar = gram(self.weight, self.N, form="scaled").entries
-        return float(np.max(np.abs(self.cbar @ Mbar @ self.cbar.T - np.eye(self.N + 1))))
+        """max |cbar Mbar cbar^T - I|, the orthonormality defect.
 
-
-def _cbar_from_cholesky(L: np.ndarray) -> np.ndarray:
-    return solve_triangular(L, np.eye(L.shape[0]), lower=True)
-
-
-def _cbar_from_recurrence(weight: WeightParams, N: int) -> np.ndarray:
-    """Accumulate scaled-monomial coefficients along the recurrence.
-
-    Multiplication by x maps u_k to (s_{k+1}/s_k) u_{k+1}; the ratio
-    exp(mu + (k + 1/2) nu^2) keeps the accumulation in the scaled domain.
-    """
-    C = np.zeros((N + 1, N + 1))
-    C[0, 0] = 1.0
-    if N == 0:
-        return C
-    alpha, beta = recurrence_coefficients(weight, N)
-    k = np.arange(N + 1, dtype=float)
-    ratio = np.exp(weight.mu + (k + 0.5) * weight.nu2)
-    C[1, 0] = -alpha[0] / beta[0]
-    C[1, 1] = ratio[0] / beta[0]
-    for n in range(2, N + 1):
-        shifted = np.zeros(N + 1)
-        shifted[1:n + 1] = C[n - 1, :n] * ratio[:n]
-        C[n] = (shifted - alpha[n - 1] * C[n - 1] - beta[n - 2] * C[n - 2]) / beta[n - 1]
-    if not np.all(np.isfinite(C)):
-        raise NumericalError("recurrence coefficient accumulation overflowed",
-                             module="basis")
-    return C
+        Mbar and the product are evaluated in np.longdouble (extended
+        precision where the platform has it): in double precision their
+        rounding alone reads 1.5e-8 at nu^2 = 0.125, N = 10, where the defect
+        of cbar itself is 5e-13.
+        """
+        k = np.arange(self.N + 1, dtype=np.longdouble)
+        Mbar = np.exp(np.outer(k, k) * self.weight.nu2)
+        C = self.cbar.astype(np.longdouble)
+        return float(np.max(np.abs(C @ Mbar @ C.T - np.eye(self.N + 1))))
 
 
 @lru_cache(maxsize=64)
 def _closed_form_indices(N: int):
-    """Degree-only arrays of the closed-form factor, shared and read-only.
+    """Degree-only arrays of the closed-form coefficients, shared and read-only.
 
-    Returns n, the lag n - k (0 above the diagonal), the lower-triangle
-    mask, the sign (-1)^{n-k} on the lower triangle (0 above),
-    h_k = k (k-1) / 4, so that q^{h_k} = sqrt(q^{k(k-1)/2}), and cbar's
-    q-exponent (n-k)(n-k-1)/2 - h_n.  Building them costs about as much
-    as the factor itself.
+    Returns n, the lag n - k (0 above the diagonal), the sign (-1)^{n-k}
+    and cbar's q-exponent (n-k)(n-k-1)/2 - n(n-1)/4, which is -inf above
+    the diagonal so that those entries come out as exact zeros.  Building
+    them costs about as much as the coefficients themselves.
     """
     n = np.arange(N + 1, dtype=float)
     lag = np.subtract.outer(np.arange(N + 1), np.arange(N + 1))
     lower = lag >= 0
     lag[~lower] = 0
-    sign = np.where(lower, 1.0 - 2.0 * (lag % 2), 0.0)
-    h = 0.25 * n * (n - 1.0)
-    expo = 0.5 * lag * (lag - 1.0) - h[:, None]
-    arrays = (n, lag, lower.astype(float), sign, h, expo)
+    sign = 1.0 - 2.0 * (lag % 2)
+    expo = np.where(lower, 0.5 * lag * (lag - 1.0) - 0.25 * n[:, None] * (n[:, None] - 1.0),
+                    -np.inf)
+    arrays = (n, lag, sign, expo)
     for a in arrays:
         a.setflags(write=False)
     return arrays
 
 
-def _closed_form_factor(nu2: float, N: int):
-    """Closed-form Cholesky factor L of Mbar, cbar = L^{-1} and eta.
-
-    With F_j = prod_{m<=j} (q^m - 1) the q-binomial is
-    [j choose k]_q = F_j / (F_k F_{j-k}), which gives
-
-        L_jk    = F_j q^{k(k-1)/4} / (sqrt(F_k) F_{j-k}),
-        cbar_nk = (-1)^{n-k} q^{(n-k)(n-k-1)/2 - n(n-1)/4} sqrt(F_n) / (F_k F_{n-k}).
-
-    Every factor is a positive product, so each entry carries a relative
-    error of a few N ulps.  Returns (L, cbar, eta, diag(Mbar)); eta is inf
-    when an entry of L or Mbar overflows.
-    """
-    n, lag, lower, sign, h, expo = _closed_form_indices(N)
-    F = np.ones(N + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(np.expm1(nu2 * n[1:]), out=F[1:])
-        sqrt_F = np.sqrt(F)
-        F_lag = F[lag]
-        L = lower * F[:, None] * (np.exp(nu2 * h) / sqrt_F) / F_lag
-        cbar = sign * np.exp(nu2 * expo) * sqrt_F[:, None] / (F * F_lag)
-        root_diag = np.exp(0.5 * nu2 * n * n)
-        eta = _UNIT_ROUNDOFF * float(np.max(np.abs(cbar) @ root_diag))
-        Mdiag = root_diag * root_diag
-    if not (math.isfinite(eta) and math.isfinite(Mdiag[-1]) and np.isfinite(L).all()):
-        eta = math.inf
-    return L, cbar, eta, Mdiag
-
-
-def _resolvable_degree(L: np.ndarray, Mdiag: np.ndarray) -> int:
-    """Largest leading degree whose pivot ratio L_jj^2 / M_jj stays resolvable."""
-    ratios = np.diag(L) ** 2 / Mdiag
-    bad = np.nonzero(ratios <= RESOLVABLE_PIVOT_RATIO)[0]
-    return int(bad[0]) - 1 if bad.size else L.shape[0] - 1
-
-
-def _cholesky_basis(weight: WeightParams, L: np.ndarray, cbar: np.ndarray,
-                    Mdiag: np.ndarray, jitter: float = 0.0) -> OrthonormalBasis:
-    """Basis from a Cholesky factor of Mbar + jitter I.  Warns of a
-    non-zero jitter, or else of a trailing pivot at the double-precision
-    limit."""
-    resolvable = _resolvable_degree(L, Mdiag)
-    if jitter == 0.0:
-        trailing = L[-1, -1] ** 2 / Mdiag[-1]
-        if trailing <= RCOND_WARN_THRESHOLD:
-            warnings.warn(
-                f"scaled Gram matrix is near the double-precision limit "
-                f"(trailing pivot ratio {trailing:.1e}); coefficients beyond "
-                f"degree {resolvable} carry rounding noise",
-                ConditioningWarning, stacklevel=3)
-    else:
-        warnings.warn(
-            f"Cholesky breakdown (nu^2={weight.nu2:.4g}, N={L.shape[0] - 1}); "
-            f"factorized with diagonal jitter {jitter:.2e}; coefficients beyond "
-            f"degree {resolvable} are damped rounding noise",
-            ConditioningWarning, stacklevel=3)
-    return OrthonormalBasis(weight=weight, N=L.shape[0] - 1, method="cholesky_scaled",
-                            cbar=cbar, chol_factor=L, jitter=jitter,
-                            resolvable_degree=resolvable)
-
-
-def orthonormal_basis(weight: WeightParams, N: int,
-                      method: str = "auto") -> OrthonormalBasis:
+def orthonormal_basis(weight: WeightParams, N: int) -> OrthonormalBasis:
     """Construct the degree-N orthonormal basis.
 
-    method='cholesky_scaled'
-        Factorize Mbar with LAPACK; raises CholeskyBreakdownError (with the
-        failing pivot index) when rounding makes Mbar numerically
-        indefinite, which happens for small nu at moderate degree.
-    method='recurrence'
-        Closed-form three-term recurrence; accurate for large nu but its
-        coefficient accumulation is unstable for small nu.
-    method='auto'
-        nu^2 > 1: recurrence (Cholesky grading breaks down there first).
-        Otherwise the closed-form Stieltjes-Wigert factor (see the module
-        docstring) whenever its rounding estimate eta is at most
-        ``CLOSED_FORM_ETA_MAX``: every degree is then kept without a
-        jitter, whichever BLAS is installed, and no LAPACK factorization
-        is asked of a numerically singular matrix.  eta grows with N and 1/nu^2
-        (at nu^2 = 0.0051, case 1 of the benchmark table, it crosses the
-        limit at N = 10).  Above the limit: LAPACK Cholesky, retried on
-        breakdown with an escalating diagonal jitter, which keeps the full
-        degree while damping the coefficients that double precision
-        cannot resolve.  A ConditioningWarning reports the jitter.
+    The coefficients are the closed-form Stieltjes-Wigert ones of the module
+    docstring, computed in the log domain, for every nu^2 > 0 and N.
 
-    The Cholesky routes report the factor as ``chol_factor`` and the
-    ``resolvable_degree`` from its pivots (exact ones for the closed form),
-    and warn when the trailing pivot ratio is at most
-    ``RCOND_WARN_THRESHOLD``.
+    Degree n is kept while its rounding estimate
+    eta_n = u sum_k |cbar_nk| sqrt(Mbar_kk) is at most
+    ``CLOSED_FORM_ETA_MAX``.  From the first degree above that limit on, the
+    rows of cbar are set to exact zeros, ``resolvable_degree`` is the last
+    degree kept, and one ConditioningWarning names the dropped degrees.
+    eta_n grows with n and with 1/nu^2: at nu^2 = 0.0051 (case 1 of the
+    benchmark table) degrees 10 and above are dropped, and every series
+    built on the basis (price, density, eps_F profile) is then the series
+    of degree ``resolvable_degree``.
+
+    Raises NumericalError when a kept leading coefficient underflows to
+    zero, which happens once nu^2 n^2 / 2 exceeds about 745: the scaled
+    monomials cannot represent that degree in double precision.
     """
     N = _check_degree(N)
-    if method not in ("auto", "cholesky_scaled", "recurrence"):
-        raise ValidationError(f"unknown basis method {method!r}", module="basis")
+    nu2 = weight.nu2
+    n, lag, sign, expo = _closed_form_indices(N)
+    log_F = np.zeros(N + 1)
+    # log expm1(x) = x + log(1 - e^{-x}), finite for every x > 0
+    np.cumsum(nu2 * n[1:] + np.log(-np.expm1(-nu2 * n[1:])), out=log_F[1:])
+    log_abs = nu2 * expo + 0.5 * log_F[:, None] - log_F - log_F[lag]
+    with np.errstate(over="ignore"):
+        eta = _UNIT_ROUNDOFF * np.exp(log_abs + 0.5 * nu2 * n * n).sum(axis=1)
+    dropped = np.flatnonzero(eta > CLOSED_FORM_ETA_MAX)
+    resolvable = int(dropped[0]) - 1 if dropped.size else N
 
-    if method == "recurrence" or (method == "auto" and weight.nu2 > 1.0):
-        cbar = _cbar_from_recurrence(weight, N)
-        alpha, beta = recurrence_coefficients(weight, N) if N else (None, None)
-        return OrthonormalBasis(weight=weight, N=N, method="recurrence", cbar=cbar,
-                                alpha=alpha, beta=beta, resolvable_degree=N)
-
-    if method == "auto":
-        L, cbar, eta, Mdiag = _closed_form_factor(weight.nu2, N)
-        if eta <= CLOSED_FORM_ETA_MAX:
-            return _cholesky_basis(weight, L, cbar, Mdiag)
-
-    Mbar = gram(weight, N, form="scaled").entries
-    Mdiag = np.diag(Mbar).copy()
-    try:
-        L = np.linalg.cholesky(Mbar)
-    except np.linalg.LinAlgError:
-        L = None
-
-    if L is not None:
-        return _cholesky_basis(weight, L, _cbar_from_cholesky(L), Mdiag)
-
-    if method == "cholesky_scaled":
-        pivots, brk = _pivot_scan(Mbar)
-        if brk > N:  # row-by-row scan got luckier than LAPACK; flag the worst pivot
-            brk = int(np.argmin(pivots / Mdiag))
-        raise CholeskyBreakdownError(
-            f"Cholesky breakdown at pivot {brk} (degree {brk}) for nu^2="
-            f"{weight.nu2:.4g}, N={N}", pivot_index=brk)
-
-    # auto fallback: jitter ladder from an ulp of the diagonal scale upward.
-    scale = float(np.max(Mdiag))
-    eps = np.finfo(float).eps
-    for decade in range(-16, 4):
-        delta = scale * eps * 10.0**decade
-        try:
-            L = np.linalg.cholesky(Mbar + delta * np.eye(N + 1))
-        except np.linalg.LinAlgError:
-            continue
-        return _cholesky_basis(weight, L, _cbar_from_cholesky(L), Mdiag,
-                               jitter=float(delta))
-    raise NumericalError(
-        f"scaled Gram matrix could not be factorized even with jitter "
-        f"(nu^2={weight.nu2:.4g}, N={N})", module="basis")
+    cbar = sign * np.exp(log_abs)
+    lead = np.diagonal(cbar)[:resolvable + 1]
+    if not lead.all():
+        raise NumericalError(
+            f"basis coefficients of degree {int(np.argmin(lead))} underflow to "
+            f"zero (nu^2={nu2:.4g}, N={N})", module="basis")
+    if resolvable < N:
+        cbar[resolvable + 1:] = 0.0
+        warnings.warn(
+            f"basis degrees {resolvable + 1} to {N} dropped: their rounding "
+            f"estimate exceeds {CLOSED_FORM_ETA_MAX:g} at nu^2={nu2:.4g}; the "
+            f"series is truncated at degree {resolvable}",
+            ConditioningWarning, stacklevel=2)
+    return OrthonormalBasis(weight=weight, N=N, cbar=cbar, resolvable_degree=resolvable)

@@ -186,8 +186,7 @@ def cmd_price(ns, stdout, stderr) -> int:
             rows.append((N, ap.price, ap.eps_payoff, ap.convergence_diagnostic()))
             results.append({"N": N, "price": ap.price, "eps_F": ap.eps_payoff,
                             "convergence_diag": ap.convergence_diagnostic(),
-                            "method": ap.diagnostics["method"],
-                            "jitter": ap.diagnostics["jitter"]})
+                            "resolvable_degree": ap.diagnostics["resolvable_degree"]})
     diagnostics.extend(str(w.message) for w in wlist)
 
     doc = {"config": config, "results": results, "diagnostics": diagnostics}

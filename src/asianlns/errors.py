@@ -36,20 +36,6 @@ class MomentOverflowError(NumericalError):
     """
 
 
-class CholeskyBreakdownError(NumericalError):
-    """Cholesky factorization hit a non-positive pivot.
-
-    Attributes
-    ----------
-    pivot_index : int
-        Index (0-based) of the first failing pivot.
-    """
-
-    def __init__(self, message: str, pivot_index: int, module: str = "basis"):
-        super().__init__(message, module=module)
-        self.pivot_index = pivot_index
-
-
 class ConditioningWarning(UserWarning):
     """The requested computation is close to the double-precision limit.
 

@@ -171,20 +171,18 @@ def density_approx(approx: SeriesApproximation, x) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _kernel(r: float, sigma: float, T: float, N: int, mu: float, nu: float,
-            method: str):
+def _kernel(r: float, sigma: float, T: float, N: int, mu: float, nu: float):
     """Basis and relative moments for a normalized market; cached so that
     re-pricing across strikes only recomputes the payoff coefficients."""
     market = MarketParams(r=r, sigma=sigma, T=T, S0=1.0, K=1.0)
     weight = WeightParams(mu=mu, nu=nu)
-    basis = orthonormal_basis(weight, N, method=method)
+    basis = orthonormal_basis(weight, N)
     moms = moments(market, N, kind="relative", weight=weight)
     return basis, moms
 
 
 def price(market: MarketParams, N: int = DEFAULT_ORDER,
-          weight: Optional[WeightParams] = None,
-          method: str = "auto") -> SeriesApproximation:
+          weight: Optional[WeightParams] = None) -> SeriesApproximation:
     """Price the option with the degree-N series.
 
     The problem is normalized internally (S0 = 1, strike K / S0) and the
@@ -214,8 +212,7 @@ def price(market: MarketParams, N: int = DEFAULT_ORDER,
             f"weight nu^2={weight.nu2:.4g} must exceed sigma^2 T / 2 = "
             f"{0.5 * normalized.sigma**2 * normalized.T:.4g}", module="pricer")
 
-    basis, moms = _kernel(market.r, market.sigma, market.T, N,
-                          weight.mu, weight.nu, method)
+    basis, moms = _kernel(market.r, market.sigma, market.T, N, weight.mu, weight.nu)
     ell = likelihood_coefficients(moms, basis)
     f = payoff_coefficients(market, weight, basis)
     pi = float(f @ ell)
@@ -228,7 +225,6 @@ def price(market: MarketParams, N: int = DEFAULT_ORDER,
         eps_payoff = float(norm_sq - f @ f)
 
     diagnostics = {
-        "method": basis.method,
         "jitter": basis.jitter,
         "resolvable_degree": basis.resolvable_degree,
         "tau": market.tau,

@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's computational paths: moments come
 from a hand-rolled RK4 integration of the moment ODE, inner products from
-adaptive quadrature in log space, and orthonormality checks from
-Gauss-Hermite quadrature.
+adaptive quadrature in log space, orthonormality checks from
+Gauss-Hermite quadrature, and basis coefficients from a high-precision
+Cholesky factorization of the scaled Gram matrix.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.special import roots_hermite
@@ -66,3 +68,26 @@ def gauss_hermite_gram(evaluate, mu, nu, N, nodes=500):
     x = np.exp(mu + math.sqrt(2.0) * nu * t)
     B = evaluate(x)
     return (B * w) @ B.T / math.sqrt(math.pi)
+
+
+def mp_cbar(nu2, N, dps=90):
+    """Basis coefficients cbar = L^{-1}, L the Cholesky factor of
+    Mbar_ij = exp(i j nu^2), in mpmath at ``dps`` digits.
+
+    ``nu2`` is taken exactly as the double it is.  L is inverted by forward
+    substitution: an LU-based inverse reports Mbar as numerically singular
+    at large N even at this precision.
+    """
+    with mpmath.workdps(dps):
+        q = mpmath.exp(mpmath.mpf(nu2))
+        M = mpmath.matrix(N + 1, N + 1)
+        for i in range(N + 1):
+            for j in range(N + 1):
+                M[i, j] = q ** (i * j)
+        L = mpmath.cholesky(M)
+        C = [[mpmath.mpf(0)] * (N + 1) for _ in range(N + 1)]
+        for n in range(N + 1):
+            C[n][n] = 1 / L[n, n]
+            for k in range(n):
+                C[n][k] = -sum(L[n, m] * C[m][k] for m in range(k, n)) / L[n, n]
+        return np.array([[float(c) for c in row] for row in C])

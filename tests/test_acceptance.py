@@ -18,7 +18,7 @@ from asianlns import (ConditioningWarning, MarketParams, WeightParams,
                       reference_case, simulate, squared_relative_error)
 from asianlns.mc import McConfig, _geo_malliavin_weight, _arith_malliavin_weight
 from asianlns.pricer import clear_kernel_cache
-from oracles import rk4_moments
+from oracles import mp_cbar, rk4_moments
 
 MC = McConfig(paths=200_000, dt=1e-3, seed=42)
 
@@ -96,29 +96,24 @@ class TestAnalyticIdentitySuite:
         # all: pivot ratios above ~1e-6 of the matrix scale
         grid = [(0.125, 10), (0.25, 12), (0.5, 12), (0.64, 12)]
         for nu2, N in grid:
-            b = orthonormal_basis(WeightParams(mu=-0.5 * nu2, nu=math.sqrt(nu2)), N,
-                                  method="cholesky_scaled")
+            b = orthonormal_basis(WeightParams(mu=-0.5 * nu2, nu=math.sqrt(nu2)), N)
             err = b.gram_identity_error()
             assert err < 1e-8, (nu2, N, err)
         _report("Gram identity |cbar Mbar cbar' - I| < 1e-8 on the "
                 "double-precision-feasible grid")
 
-    def test_cholesky_vs_recurrence_agreement(self):
-        # compared on the jointly resolvable block (pivot ratio >= 1e-5);
-        # beyond it neither construction carries meaningful coefficients
-        for nu2 in (0.005, 0.02, 0.05, 0.125, 0.25, 0.5):
+    def test_basis_vs_high_precision_oracle(self):
+        # on the kept degrees; the rows above them are exact zeros
+        for nu2, N in ((0.0051, 20), (0.0626, 20), (0.5, 40), (1.44, 20), (2.0, 20)):
             w = WeightParams(mu=-0.5 * nu2, nu=math.sqrt(nu2))
-            bc = orthonormal_basis(w, 10, method="auto")
-            br = orthonormal_basis(w, 10, method="recurrence")
-            ratios = np.diag(bc.chol_factor) ** 2 / np.exp(np.arange(11) ** 2 * nu2)
-            m = int(np.nonzero(ratios >= 1e-5)[0][-1])
-            Cc, Cr = bc.cbar[:m + 1, :m + 1], br.cbar[:m + 1, :m + 1]
-            scale = np.abs(Cc) + np.abs(Cr)
-            err = np.max(np.where(scale > 0.0,
-                                  np.abs(Cc - Cr) / np.maximum(scale, 1e-300), 0.0))
-            assert err < 1e-6, (nu2, err)
-        _report("Cholesky vs recurrence agreement < 1e-6 for nu^2 in "
-                "[0.005, 0.5] on resolvable degrees (N <= 10)")
+            b = orthonormal_basis(w, N)
+            m = b.resolvable_degree + 1
+            want = mp_cbar(w.nu2, N)[:m, :m]
+            np.testing.assert_allclose(b.cbar[:m, :m], want, rtol=1e-12, atol=0.0,
+                                       err_msg=f"nu^2={nu2}, N={N}")
+            assert np.all(b.cbar[m:] == 0.0)
+        _report("basis coefficients vs 90-digit Cholesky oracle < 1e-12 rel on "
+                "the kept degrees for nu^2 in [0.0051, 2], N <= 40")
 
     def test_moments_vs_rk4(self):
         for (r, sigma, T) in ((0.02, 0.10, 1.0), (0.05, 0.50, 1.0),

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from scipy.stats import lognorm
 
-from asianlns import (CholeskyBreakdownError, ConditioningWarning, MarketParams,
-                      NumericalError, ValidationError, WeightParams, default_weight,
-                      gram, moments, orthonormal_basis, recurrence_coefficients,
-                      weight_density)
+from asianlns import (ConditioningWarning, MarketParams, NumericalError,
+                      ValidationError, WeightParams, default_weight, gram, moments,
+                      orthonormal_basis, weight_density)
 
-from oracles import gauss_hermite_gram, quad_weighted
+from oracles import gauss_hermite_gram, mp_cbar, quad_weighted
 
 
 def _w(nu2, mu=None):
@@ -62,40 +61,45 @@ class TestDefaultWeight:
             default_weight(m, 0.0)
 
 
+def _raw_gram(w, N):
+    """Moment matrix of the plain monomials, S Mbar S with S = diag(s_k)."""
+    s = w.moment(np.arange(N + 1))
+    return np.outer(s, s) * gram(w, N)
+
+
 class TestGram:
     def test_raw_two_by_two(self):
-        M = gram(WeightParams(mu=0.0, nu=1.0), 1, form="raw").entries
+        M = _raw_gram(WeightParams(mu=0.0, nu=1.0), 1)
         want = [[1.0, math.exp(0.5)], [math.exp(0.5), math.exp(2.0)]]
         np.testing.assert_allclose(M, want, rtol=1e-15)
 
     def test_scaled_is_mu_free(self):
-        got1 = gram(WeightParams(mu=-3.0, nu=0.3), 1, form="scaled").entries
-        got2 = gram(WeightParams(mu=5.0, nu=0.3), 1, form="scaled").entries
+        got1 = gram(WeightParams(mu=-3.0, nu=0.3), 1)
+        got2 = gram(WeightParams(mu=5.0, nu=0.3), 1)
         want = [[1.0, 1.0], [1.0, math.exp(0.09)]]
         np.testing.assert_allclose(got1, want, rtol=1e-15)
         np.testing.assert_array_equal(got1, got2)
 
     def test_raw_positive_definite(self):
-        M = gram(WeightParams(mu=0.0, nu=1.0), 3, form="raw").entries
+        M = _raw_gram(WeightParams(mu=0.0, nu=1.0), 3)
         eigs = np.linalg.eigvalsh(M)
         assert eigs.min() > 0.0
         np.linalg.cholesky(M)  # factorization succeeds as well
 
     def test_scaling_identity(self):
-        # M = S Mbar S entrywise to 1e-12
+        # S Mbar S is the Hankel matrix of the weight moments s_{i+j} to 1e-12
         w = WeightParams(mu=0.15, nu=0.45)
-        raw = gram(w, 8, form="raw").entries
-        scaled = gram(w, 8, form="scaled").entries
-        s = w.moment(np.arange(9))
-        np.testing.assert_allclose(np.outer(s, s) * scaled, raw, rtol=1e-12)
+        i = np.arange(9)
+        np.testing.assert_allclose(_raw_gram(w, 8), w.moment(np.add.outer(i, i)),
+                                   rtol=1e-12)
 
     def test_overflow_signalled(self):
         with pytest.raises(NumericalError):
-            gram(WeightParams(mu=0.0, nu=6.0), 40, form="scaled")
+            gram(WeightParams(mu=0.0, nu=6.0), 40)
 
     def test_rcond_monotone_trend(self):
         w = _w(0.09)
-        r = [gram(w, N).rcond_estimate for N in (2, 4, 6, 8, 10)]
+        r = [1.0 / np.linalg.cond(gram(w, N)) for N in (2, 4, 6, 8, 10)]
         assert all(v > 0.0 for v in r)
         # diagnostic: condition worsens with N (allow small wiggle)
         assert all(r[i + 1] <= r[i] * 1.1 for i in range(len(r) - 1))
@@ -141,93 +145,51 @@ class TestOrthonormalBasis:
         x = np.array([0.7, 1.1, 1.9])
         np.testing.assert_allclose(b.evaluate(x)[1], (x - mean) / beta1, rtol=1e-12)
 
-    def test_recurrence_alpha0_is_weight_mean(self):
-        for nu2 in (0.01, 0.2, 0.8):
-            w = _w(nu2, mu=0.1)
-            alpha, beta = recurrence_coefficients(w, 6)
-            assert alpha[0] == pytest.approx(math.exp(0.1 + 0.5 * nu2), rel=1e-14)
-            assert np.all(beta > 0.0)
-
     @pytest.mark.parametrize("nu2,N", [(0.125, 10), (0.25, 12), (0.5, 12), (0.64, 12)])
     def test_gram_identity_cholesky(self, nu2, N):
-        b = orthonormal_basis(_w(nu2), N, method="cholesky_scaled")
+        b = orthonormal_basis(_w(nu2), N)
         assert b.gram_identity_error() < 1e-8
 
     @pytest.mark.parametrize("nu", [0.7, 0.8, 1.2])
     def test_recurrence_orthonormal_by_quadrature(self, nu):
         w = WeightParams(mu=0.1, nu=nu)
-        b = orthonormal_basis(w, 8, method="recurrence")
+        b = orthonormal_basis(w, 8)
         G = gauss_hermite_gram(b.evaluate, w.mu, nu, 8)
         assert np.max(np.abs(G - np.eye(9))) < 1e-6
 
     def test_positive_leading_coefficients(self):
-        for method in ("cholesky_scaled", "recurrence"):
-            b = orthonormal_basis(_w(0.2), 8, method=method)
-            assert np.all(np.diag(b.cbar) > 0.0)
+        b = orthonormal_basis(_w(0.2), 8)
+        assert np.all(np.diag(b.cbar) > 0.0)
+
+    @staticmethod
+    def _assert_matches_oracle(w, N):
+        # cbar against the inverse of a 90-digit Cholesky factor of Mbar,
+        # entrywise on the kept block
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            b = orthonormal_basis(w, N)
+        m = b.resolvable_degree + 1
+        want = mp_cbar(w.nu2, N)[:m, :m]
+        np.testing.assert_allclose(b.cbar[:m, :m], want, rtol=1e-12, atol=0.0)
+        return b
 
     @pytest.mark.parametrize("nu2", [0.005, 0.02, 0.05, 0.125, 0.25, 0.5])
     def test_method_agreement_on_stable_block(self, nu2):
-        # both constructions must agree wherever the pivot ratio keeps the
-        # coefficients resolvable in double precision (ratio >= 1e-5)
-        w = _w(nu2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            bc = orthonormal_basis(w, 10, method="auto")
-        br = orthonormal_basis(w, 10, method="recurrence")
-        ratios = np.diag(bc.chol_factor) ** 2 / np.exp(np.arange(11) ** 2 * nu2)
-        good = np.nonzero(ratios >= 1e-5)[0]
-        assert good.size >= 3, "stable block unexpectedly empty"
-        m = int(good[-1])
-        Cc, Cr = bc.cbar[:m + 1, :m + 1], br.cbar[:m + 1, :m + 1]
-        scale = np.abs(Cc) + np.abs(Cr)
-        err = np.max(np.where(scale > 0.0,
-                              np.abs(Cc - Cr) / np.maximum(scale, 1e-300), 0.0))
-        assert err < 1e-6
+        # the closed form agrees with a high-precision Cholesky construction
+        # on every degree it keeps, and keeps at least degrees 0..8
+        b = self._assert_matches_oracle(_w(nu2), 10)
+        assert b.resolvable_degree >= 8
 
     def test_spec_example_agreement(self):
-        # mu=0, nu=0.5, N=6: entrywise relative agreement well under 1e-6
-        w = WeightParams(mu=0.0, nu=0.5)
-        bc = orthonormal_basis(w, 6, method="cholesky_scaled")
-        br = orthonormal_basis(w, 6, method="recurrence")
-        np.testing.assert_allclose(bc.cbar, br.cbar, rtol=1e-6, atol=1e-12)
-
-    def test_strict_cholesky_reports_pivot(self):
-        with pytest.raises(CholeskyBreakdownError) as exc:
-            orthonormal_basis(_w(0.0051), 14, method="cholesky_scaled")
-        assert 4 <= exc.value.pivot_index <= 14
-        assert exc.value.module == "basis"
-
-    def test_auto_jitters_on_breakdown(self):
-        with pytest.warns(ConditioningWarning):
-            b = orthonormal_basis(_w(0.0051), 20, method="auto")
-        assert b.method == "cholesky_scaled"
-        assert b.jitter > 0.0
-        assert b.resolvable_degree < 20
-        assert np.all(np.isfinite(b.cbar))
+        # mu=0, nu=0.5, N=6: every degree kept, entrywise agreement
+        b = self._assert_matches_oracle(WeightParams(mu=0.0, nu=0.5), 6)
+        assert b.resolvable_degree == 6
 
     @pytest.mark.parametrize("nu2,N", [(0.0626, 20), (0.125, 10), (0.5, 12)])
     def test_closed_form_factor(self, nu2, N):
-        # the Stieltjes-Wigert factor that ``auto`` uses reproduces Mbar
-        # entrywise, also where LAPACK breaks down, and cbar inverts it up
-        # to the rounding of the product itself (its terms alternate in sign)
-        b = orthonormal_basis(_w(nu2), N, method="auto")
-        L, C = b.chol_factor, b.cbar
-        assert b.jitter == 0.0
-        np.testing.assert_allclose(L @ L.T, gram(_w(nu2), N).entries, rtol=1e-13)
-        err = np.abs(C @ L - np.eye(N + 1))
-        assert np.all(err <= 4 * (N + 1) * np.finfo(float).eps * (np.abs(C) @ np.abs(L)))
-
-    def test_closed_form_factor_matches_lapack(self):
-        # well-conditioned Mbar: LAPACK's factor is accurate and must agree
-        b = orthonormal_basis(_w(0.5), 12, method="auto")
-        lapack = orthonormal_basis(_w(0.5), 12, method="cholesky_scaled")
-        np.testing.assert_allclose(b.chol_factor, lapack.chol_factor, rtol=1e-12)
-        np.testing.assert_allclose(b.cbar, lapack.cbar, rtol=1e-10, atol=1e-12)
-        assert b.resolvable_degree == lapack.resolvable_degree == 12
-
-    def test_auto_uses_recurrence_for_large_nu(self):
-        b = orthonormal_basis(_w(1.44), 10, method="auto")
-        assert b.method == "recurrence"
+        # every degree kept, also where LAPACK breaks down on Mbar (0.0626, 20)
+        b = self._assert_matches_oracle(_w(nu2), N)
+        assert b.resolvable_degree == N
 
     def test_monomial_coefficients_match_scaled(self):
         w = _w(0.2, mu=0.1)
@@ -243,7 +205,5 @@ class TestOrthonormalBasis:
             b.evaluate(np.array([1.0, 0.0]))
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            orthonormal_basis(_w(0.2), 3, method="qr")
         with pytest.raises(ValidationError):
             orthonormal_basis(_w(0.2), -2)

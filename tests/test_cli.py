@@ -54,6 +54,8 @@ class TestPriceCommand:
         doc = json.loads(out)
         assert doc["config"]["weight_nu2"] == pytest.approx(0.0051)
         assert "weight_mu" in doc["config"]
+        # case-1 nu^2: the basis keeps degrees 0..9 of the requested 20
+        assert [res["resolvable_degree"] for res in doc["results"]] == [9, 9, 9]
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["price", "--bogus", "1"]) == 2

@@ -231,12 +231,27 @@ class TestPrice:
         with pytest.warns(ConditioningWarning):
             price(m, 25)
 
-    def test_jitter_path_reported_for_tiny_nu(self, cases):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            ap = price(cases[1], 20)
-        assert ap.diagnostics["jitter"] > 0.0
-        assert ap.diagnostics["resolvable_degree"] < 20
+    @pytest.mark.parametrize("N", [10, 15, 20])
+    def test_truncated_above_resolvable_degree_for_tiny_nu(self, cases, N):
+        # case 1 (nu^2 = 0.0051): the rounding estimate of every degree above
+        # 9 exceeds CLOSED_FORM_ETA_MAX, so those rows of the basis are zero
+        # and the price is the 60-digit value of the 9-term series at every N
+        clear_kernel_cache()
+        with pytest.warns(ConditioningWarning, match="dropped"):
+            ap = price(cases[1], N)
+        assert ap.basis.resolvable_degree == 9
+        assert ap.diagnostics["resolvable_degree"] == 9
+        assert np.all(ap.basis.cbar[10:] == 0.0)
+        assert abs(ap.price - 0.0559960648) < 1e-7
+
+    def test_order_40_at_unit_vol(self):
+        # nu^2 N^2 = 800: the largest entries of Mbar overflow, but the
+        # log-domain basis keeps every degree (60-digit value of the series)
+        m = MarketParams(r=0.05, sigma=1.0, T=1.0, S0=1.0, K=1.0)
+        with pytest.warns(ConditioningWarning):
+            ap = price(m, 40)
+        assert ap.diagnostics["resolvable_degree"] == 40
+        assert abs(ap.price - 0.2494104739) < 1e-9
 
     def test_price_independent_of_lapack_breakdown(self, cases, monkeypatch):
         # a price must not depend on where a LAPACK build breaks down: with
@@ -281,8 +296,8 @@ class TestDensityApprox:
         assert self._quad_mass(price(cases[3], 15)) == pytest.approx(1.0, abs=1e-6)
 
     def test_unit_mass_jittered_factorization(self, cases):
-        # the damped noise coefficients of the jittered basis perturb
-        # <b_n, 1> away from exact delta_n0 at the 1e-6 scale
+        # case 3 at N = 20, where LAPACK's factor of Mbar once needed a
+        # diagonal jitter; the closed-form basis keeps the unit mass
         assert self._quad_mass(price(cases[3], 20)) == pytest.approx(1.0, abs=3e-6)
 
     def test_can_go_negative_in_tails(self, cases):
