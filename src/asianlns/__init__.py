@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 
 from .errors import (AsianLnsError, ConditioningWarning, MomentOverflowError,
                      NumericalError, ValidationError)
-from .model import GeneratorMatrix, MarketParams, MomentVector, generator, mean_average, moments
+from .model import MarketParams, MomentVector, mean_average, moments
 from .basis import (OrthonormalBasis, WeightParams, default_weight, gram,
                     orthonormal_basis, weight_density)
-from .pricer import (DensityApproximant, SeriesApproximation, density_approx,
-                     likelihood_coefficients, payoff_coefficients, payoff_norm_sq,
-                     price, scaled_payoff_projections)
+from .pricer import (DensityApproximant, SeriesApproximation, likelihood_coefficients,
+                     payoff_coefficients, payoff_norm_sq, price, scaled_payoff_projections)
 from .mc import (DensityGridEstimate, ErrorBound, McConfig, McEstimate, PathBatch,
                  density_cv, density_malliavin, error_bound,
                  geo_average_density, geometric_price_closed_form,
@@ -28,13 +27,11 @@ from .benchmarks import benchmark_cases, reference_case, reference_data
 __all__ = [
     "AsianLnsError", "ConditioningWarning", "MomentOverflowError",
     "NumericalError", "ValidationError",
-    "GeneratorMatrix", "MarketParams", "MomentVector", "generator",
-    "mean_average", "moments",
+    "MarketParams", "MomentVector", "mean_average", "moments",
     "OrthonormalBasis", "WeightParams", "default_weight", "gram",
     "orthonormal_basis", "weight_density",
-    "DensityApproximant", "SeriesApproximation", "density_approx",
-    "likelihood_coefficients", "payoff_coefficients", "payoff_norm_sq", "price",
-    "scaled_payoff_projections",
+    "DensityApproximant", "SeriesApproximation", "likelihood_coefficients",
+    "payoff_coefficients", "payoff_norm_sq", "price", "scaled_payoff_projections",
     "DensityGridEstimate", "ErrorBound", "McConfig", "McEstimate", "PathBatch",
     "density_cv", "density_malliavin", "error_bound", "geo_average_density",
     "geometric_price_closed_form", "iter_path_batches", "likelihood_norm_sq",

@@ -31,12 +31,12 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from . import __version__
-from .basis import default_weight, weight_density
+from .basis import weight_density
 from .benchmarks import benchmark_cases, reference_case
 from .errors import NumericalError, ValidationError
 from .mc import (McConfig, error_bound, likelihood_norm_sq, price_cv,
                  density_cv, squared_relative_error)
-from .model import MarketParams, moments
+from .model import MarketParams
 from .pricer import clear_kernel_cache, price
 
 _FLOAT_FMT = "%.17g"
@@ -131,13 +131,6 @@ def _mc_config(ns) -> McConfig:
     return McConfig(paths=ns.paths, dt=ns.dt, seed=ns.seed, batches=ns.batches)
 
 
-def _weight_echo(market: MarketParams) -> dict:
-    normalized = market.normalized()
-    m1 = float(moments(normalized, 1, kind="raw").values[1])
-    w = default_weight(normalized, m1)
-    return {"weight_mu": w.mu, "weight_nu2": w.nu2}
-
-
 def _emit(doc: dict, columns, rows, ns, stderr) -> str:
     """Render results in the requested format; returns the payload string."""
     fmt = ns.format
@@ -176,7 +169,6 @@ def cmd_price(ns, stdout, stderr) -> int:
     config = {"command": "price", "r": market.r, "sigma": market.sigma, "T": market.T,
               "S0": market.S0, "K": market.K, "N": ",".join(map(str, orders)),
               "format": ns.format}
-    config.update(_weight_echo(market))
 
     diagnostics, rows, results = [], [], []
     with warnings.catch_warnings(record=True) as wlist:
@@ -188,6 +180,7 @@ def cmd_price(ns, stdout, stderr) -> int:
                             "convergence_diag": ap.convergence_diagnostic(),
                             "resolvable_degree": ap.diagnostics["resolvable_degree"]})
     diagnostics.extend(str(w.message) for w in wlist)
+    config.update(weight_mu=ap.weight.mu, weight_nu2=ap.weight.nu2)
 
     doc = {"config": config, "results": results, "diagnostics": diagnostics}
     stdout.write(_emit(doc, ("N", "price", "eps_F", "conv_diag"), rows, ns, stderr))

@@ -10,7 +10,10 @@ error bound.
 Reproducibility contract: paths are generated in fixed-size chunks, each
 from its own counter-based Philox substream keyed by (seed, stream, chunk).
 The ``batches`` knob only controls worker parallelism; results are
-bit-identical for a given (seed, paths, dt) regardless of it.
+bit-identical for a given (seed, paths, dt) regardless of it.  Every
+estimator reduces its per-path terms in one chunk loop (``_chunk_stats``)
+over ``iter_path_batches``, so ``likelihood_norm_sq`` and its second
+stream follow ``batches`` like the others.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.stats import norm
@@ -146,11 +149,10 @@ def iter_path_batches(market: MarketParams, config: McConfig,
     """
     steps, dt = _steps_for(market, config)
     nchunks = (config.paths + CHUNK_PATHS - 1) // CHUNK_PATHS
-    sizes = [min(CHUNK_PATHS, config.paths - c * CHUNK_PATHS) for c in range(nchunks)]
 
     def run(c: int) -> PathBatch:
-        return _simulate_chunk(market, steps, dt, sizes[c],
-                               _chunk_rng(config.seed, stream, c))
+        n = min(CHUNK_PATHS, config.paths - c * CHUNK_PATHS)
+        return _simulate_chunk(market, steps, dt, n, _chunk_rng(config.seed, stream, c))
 
     if config.batches > 1 and nchunks > 1:
         with ThreadPoolExecutor(max_workers=config.batches) as pool:
@@ -169,15 +171,20 @@ def simulate(market: MarketParams, config: McConfig, stream: int = 0) -> PathBat
                      brownian=np.concatenate([p.brownian for p in parts]))
 
 
+def _geo_law(market: MarketParams) -> tuple:
+    """Mean and standard deviation of log Q_T, which is normal:
+    log S0 + (r - sigma^2/2) T / 2 and sigma sqrt(T / 3)."""
+    return (math.log(market.S0) + 0.5 * (market.r - 0.5 * market.sigma**2) * market.T,
+            market.sigma * math.sqrt(market.T / 3.0))
+
+
 def geometric_price_closed_form(market: MarketParams) -> float:
     """Exact price of the continuously sampled geometric-average call.
 
-    log Q_T is normal with mean log S0 + (r - sigma^2/2) T / 2 and variance
-    sigma^2 T / 3, so the price is a Black-Scholes-type expression.  K = 0
-    short-circuits to the discounted mean of Q_T.
+    log Q_T is normal (``_geo_law``), so the price is a Black-Scholes-type
+    expression.  K = 0 short-circuits to the discounted mean of Q_T.
     """
-    m = math.log(market.S0) + 0.5 * (market.r - 0.5 * market.sigma**2) * market.T
-    s = market.sigma * math.sqrt(market.T / 3.0)
+    m, s = _geo_law(market)
     disc = math.exp(-market.r * market.T)
     fwd = math.exp(m + 0.5 * s * s)
     if market.K == 0.0:
@@ -196,18 +203,17 @@ def _merge_stats(nA, meanA, m2A, nB, meanB, m2B):
     return n, mean, m2
 
 
-def _accumulate(values_iter) -> tuple:
-    """Merge (n, mean, M2) over an iterator of value arrays (in order)."""
-    n, mean, m2 = 0, 0.0, 0.0
-    for vals in values_iter:
-        nb = vals.shape[-1]
-        mb = vals.mean(axis=-1)
-        m2b = vals.var(axis=-1) * nb
-        if n == 0:
-            n, mean, m2 = nb, mb, m2b
-        else:
-            n, mean, m2 = _merge_stats(n, mean, m2, nb, mb, m2b)
-    return n, mean, m2
+def _chunk_stats(chunks, terms) -> list:
+    """(n, mean, M2) of each array that ``terms(chunk)`` returns, merged over
+    the chunks in order.  Each array holds one sample per path along its
+    last axis; the temporaries of ``terms`` are freed chunk by chunk."""
+    stats = None
+    for chunk in chunks:
+        part = [(v.shape[-1], v.mean(axis=-1), v.var(axis=-1) * v.shape[-1])
+                for v in terms(chunk)]
+        stats = part if stats is None else [_merge_stats(*a, *b)
+                                            for a, b in zip(stats, part)]
+    return stats
 
 
 def price_cv(market: MarketParams, config: McConfig) -> McEstimate:
@@ -221,12 +227,11 @@ def price_cv(market: MarketParams, config: McConfig) -> McEstimate:
     disc = math.exp(-market.r * market.T)
     geo = geometric_price_closed_form(market)
 
-    def vals():
-        for p in iter_path_batches(market, config):
-            yield disc * (np.maximum(p.average - market.K, 0.0)
-                          - np.maximum(p.geo_average - market.K, 0.0)) + geo
+    def terms(p: PathBatch):
+        return (disc * (np.maximum(p.average - market.K, 0.0)
+                        - np.maximum(p.geo_average - market.K, 0.0)) + geo,)
 
-    n, mean, m2 = _accumulate(vals())
+    [(n, mean, m2)] = _chunk_stats(iter_path_batches(market, config), terms)
     return McEstimate.from_stats(n, float(mean), float(m2), config)
 
 
@@ -244,11 +249,20 @@ def _geo_malliavin_weight(market: MarketParams, p: PathBatch) -> np.ndarray:
             + 1.0 / p.geo_average)
 
 
+def _ibp_term(level: np.ndarray, x, mean: float, w: np.ndarray) -> np.ndarray:
+    """Integration-by-parts density term (1{level >= x} - 1{x <= mean}) w.
+
+    Its expectation is the density of ``level`` at x; subtracting the
+    deterministic 1{x <= E[level]} pins it to zero for x -> 0 instead of
+    leaving pure Monte-Carlo noise there.  ``x`` is a grid column (one row
+    per point) or one point per path.
+    """
+    return ((level >= x).astype(float) - (x <= mean)) * w
+
+
 def geo_average_density(market: MarketParams, x) -> np.ndarray:
     """Closed-form log-normal density of the geometric average Q_T."""
-    x = np.asarray(x, dtype=float)
-    m = math.log(market.S0) + 0.5 * (market.r - 0.5 * market.sigma**2) * market.T
-    s = market.sigma * math.sqrt(market.T / 3.0)
+    m, s = _geo_law(market)
     return weight_density(WeightParams(mu=m, nu=s), x)
 
 
@@ -263,12 +277,6 @@ class DensityGridEstimate:
     config: McConfig
     variance_reduction: Optional[np.ndarray] = field(repr=False, default=None)
 
-    def as_estimates(self):
-        return [McEstimate(value=float(v), std_error=float(se),
-                           ci95=(float(v - 1.96 * se), float(v + 1.96 * se)),
-                           n_effective=self.n_effective, config=self.config)
-                for v, se in zip(self.value, self.std_error)]
-
 
 def _check_grid(x_grid) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x_grid, dtype=float))
@@ -277,36 +285,23 @@ def _check_grid(x_grid) -> np.ndarray:
     return x
 
 
-def density_malliavin(market: MarketParams, config: McConfig, x_grid,
-                      c: Optional[Callable] = None) -> DensityGridEstimate:
-    """Density of A_T on a grid from the integration-by-parts identity.
-
-    g(x) = E[(1{A_T >= x} - c(x)) W] for any deterministic c; the default
-    c(x) = 1{x <= E[A_T]} pins the estimate to zero for x -> 0 instead of
-    leaving pure Monte-Carlo noise there.
-    """
+def density_malliavin(market: MarketParams, config: McConfig,
+                      x_grid) -> DensityGridEstimate:
+    """Density of A_T on a grid from the integration-by-parts identity
+    g(x) = E[(1{A_T >= x} - 1{x <= E[A_T]}) W] (see ``_ibp_term``)."""
     x = _check_grid(x_grid)
-    if c is None:
-        m1 = mean_average(market)
-        cx = (x <= m1).astype(float)
-    else:
-        cx = np.asarray(c(x), dtype=float)
+    m1 = mean_average(market)
 
-    def vals():
-        for p in iter_path_batches(market, config):
-            w = _arith_malliavin_weight(market, p)
-            ind = (p.average[None, :] >= x[:, None]).astype(float)
-            yield (ind - cx[:, None]) * w[None, :]
+    def terms(p: PathBatch):
+        return (_ibp_term(p.average, x[:, None], m1, _arith_malliavin_weight(market, p)),)
 
-    n, mean, m2 = _accumulate(vals())
+    [(n, mean, m2)] = _chunk_stats(iter_path_batches(market, config), terms)
     se = np.sqrt(m2 / (n - 1) / n)
     return DensityGridEstimate(x=x, value=mean, std_error=se, n_effective=n,
                                config=config)
 
 
-def density_cv(market: MarketParams, config: McConfig, x_grid,
-               c1: Optional[Callable] = None,
-               c2: Optional[Callable] = None) -> DensityGridEstimate:
+def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEstimate:
     """Variance-reduced density estimate using the geometric average.
 
     Adds q(x) minus the geometric-average estimator of q(x) to the plain
@@ -316,44 +311,18 @@ def density_cv(market: MarketParams, config: McConfig, x_grid,
     paths) is reported; it is NaN where either variance vanishes.
     """
     x = _check_grid(x_grid)
-    if c1 is None:
-        m1a = mean_average(market)
-        c1x = (x <= m1a).astype(float)
-    else:
-        c1x = np.asarray(c1(x), dtype=float)
-    if c2 is None:
-        m1q = math.exp(math.log(market.S0) + 0.5 * (market.r - 0.5 * market.sigma**2)
-                       * market.T + market.sigma**2 * market.T / 6.0)
-        c2x = (x <= m1q).astype(float)
-    else:
-        c2x = np.asarray(c2(x), dtype=float)
-    qx = geo_average_density(market, x)
+    col = x[:, None]
+    mq, sq = _geo_law(market)
+    m1a, m1q = mean_average(market), math.exp(mq + 0.5 * sq * sq)
+    qx = geo_average_density(market, x)[:, None]
 
-    def pair_vals():
-        for p in iter_path_batches(market, config):
-            wa = _arith_malliavin_weight(market, p)
-            wq = _geo_malliavin_weight(market, p)
-            ind_a = (p.average[None, :] >= x[:, None]).astype(float)
-            ind_q = (p.geo_average[None, :] >= x[:, None]).astype(float)
-            plain = (ind_a - c1x[:, None]) * wa[None, :]
-            cv = plain - (ind_q - c2x[:, None]) * wq[None, :] + qx[:, None]
-            yield plain, cv
+    def terms(p: PathBatch):
+        plain = _ibp_term(p.average, col, m1a, _arith_malliavin_weight(market, p))
+        return plain, plain - _ibp_term(p.geo_average, col, m1q,
+                                        _geo_malliavin_weight(market, p)) + qx
 
-    n = 0
-    stats_plain = stats_cv = None
-    for plain, cv in pair_vals():
-        nb = plain.shape[-1]
-        sp = (nb, plain.mean(-1), plain.var(-1) * nb)
-        sc = (nb, cv.mean(-1), cv.var(-1) * nb)
-        if n == 0:
-            stats_plain, stats_cv, n = sp, sc, nb
-        else:
-            stats_plain = _merge_stats(*stats_plain, *sp)
-            stats_cv = _merge_stats(*stats_cv, *sc)
-            n = stats_cv[0]
-
-    _, mean_cv, m2_cv = stats_cv
-    _, _, m2_plain = stats_plain
+    (_, _, m2_plain), (n, mean_cv, m2_cv) = _chunk_stats(
+        iter_path_batches(market, config), terms)
     se = np.sqrt(m2_cv / (n - 1) / n)
     with np.errstate(divide="ignore", invalid="ignore"):
         vr = np.where((m2_cv > 0) & (m2_plain > 0), m2_plain / m2_cv, np.nan)
@@ -362,14 +331,13 @@ def density_cv(market: MarketParams, config: McConfig, x_grid,
 
 
 def likelihood_norm_sq(market: MarketParams, config: McConfig, weight: WeightParams,
-                       use_cv: bool = True,
                        tilde_from_weight: bool = False) -> McEstimate:
     """Estimate ||ell||_w^2 = integral of g^2 / w.
 
-    Draws an independent second sample Atilde (disjoint Philox stream of
-    the same seed) and evaluates the density estimator at Atilde divided by
-    w(Atilde).  With ``use_cv`` the geometric control variate is applied to
-    the density part.  The estimator has a finite mean for
+    Draws an independent second sample Atilde (stream 1 of the same seed,
+    chunk for chunk with the paths of stream 0) and evaluates the
+    control-variate density estimator of ``density_cv`` at Atilde divided
+    by w(Atilde).  The estimator has a finite mean for
     nu^2 > sigma^2 T / 2 but heavy tails (its variance is itself marginally
     divergent at the default nu), so standard errors are indicative rather
     than sharp; this matches the estimator's published behaviour.
@@ -385,31 +353,25 @@ def likelihood_norm_sq(market: MarketParams, config: McConfig, weight: WeightPar
         raise ValidationError(
             f"nu^2={weight.nu2:.4g} <= sigma^2 T / 2: ||ell||_w^2 is infinite",
             module="mc")
-    m1a = mean_average(market)
-    m1q = math.exp(math.log(market.S0)
-                   + 0.5 * (market.r - 0.5 * market.sigma**2) * market.T
-                   + market.sigma**2 * market.T / 6.0)
-    steps, dt = _steps_for(market, config)
-    nchunks = (config.paths + CHUNK_PATHS - 1) // CHUNK_PATHS
+    mq, sq = _geo_law(market)
+    m1a, m1q = mean_average(market), math.exp(mq + 0.5 * sq * sq)
+    stream0 = iter_path_batches(market, config)
+    if tilde_from_weight:
+        pairs = ((p, np.exp(weight.mu + weight.nu
+                            * _chunk_rng(config.seed, 1, c).standard_normal(p.n)))
+                 for c, p in enumerate(stream0))
+    else:
+        pairs = ((p, t.average)
+                 for p, t in zip(stream0, iter_path_batches(market, config, stream=1)))
 
-    def vals():
-        for c in range(nchunks):
-            nsz = min(CHUNK_PATHS, config.paths - c * CHUNK_PATHS)
-            p = _simulate_chunk(market, steps, dt, nsz, _chunk_rng(config.seed, 0, c))
-            rng_t = _chunk_rng(config.seed, 1, c)
-            if tilde_from_weight:
-                at = np.exp(weight.mu + weight.nu * rng_t.standard_normal(nsz))
-            else:
-                at = _simulate_chunk(market, steps, dt, nsz, rng_t).average
-            wa = _arith_malliavin_weight(market, p)
-            num = ((p.average >= at).astype(float) - (at <= m1a)) * wa
-            if use_cv:
-                wq = _geo_malliavin_weight(market, p)
-                num = num + geo_average_density(market, at) \
-                    - ((p.geo_average >= at).astype(float) - (at <= m1q)) * wq
-            yield num / weight_density(weight, at)
+    def terms(pair):
+        p, at = pair
+        num = (_ibp_term(p.average, at, m1a, _arith_malliavin_weight(market, p))
+               + geo_average_density(market, at)
+               - _ibp_term(p.geo_average, at, m1q, _geo_malliavin_weight(market, p)))
+        return (num / weight_density(weight, at),)
 
-    n, mean, m2 = _accumulate(vals())
+    [(n, mean, m2)] = _chunk_stats(pairs, terms)
     return McEstimate.from_stats(n, float(mean), float(m2), config)
 
 

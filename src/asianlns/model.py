@@ -81,31 +81,6 @@ class MarketParams:
 
 
 @dataclass(frozen=True)
-class GeneratorMatrix:
-    """Lower-bidiagonal generator of the moment ODE.
-
-    Diagonal entries are lambda_n = n r + n (n - 1) sigma^2 / 2 in both
-    forms.  The raw subdiagonal is n / T; the scaled form multiplies entry n
-    of the subdiagonal by exp(-mu + (1 - 2n) nu^2 / 2) so that the propagated
-    vector contains relative moments.
-    """
-
-    N: int
-    entries: np.ndarray = field(repr=False)
-    form: str  # 'raw' | 'scaled'
-
-    def __post_init__(self):
-        e = self.entries
-        if e.shape != (self.N + 1, self.N + 1):
-            raise ValidationError("generator shape mismatch", module="model")
-        mask = ~(np.tri(self.N + 1, k=0, dtype=bool) & ~np.tri(self.N + 1, k=-2, dtype=bool))
-        if np.any(e[mask] != 0.0):
-            raise ValidationError("generator must be lower bidiagonal", module="model")
-        if e[0, 0] != 0.0:
-            raise ValidationError("lambda_0 must be zero", module="model")
-
-
-@dataclass(frozen=True)
 class MomentVector:
     """Moments of the average, raw (E[A_T^n]) or relative (E[A_T^n] / s_n)."""
 
@@ -125,41 +100,6 @@ def _check_degree(N: int) -> int:
     return int(N)
 
 
-def generator(params: MarketParams, N: int, form: str = "raw",
-              weight: Optional["WeightParams"] = None) -> GeneratorMatrix:
-    """Build the generator matrix of the moment ODE.
-
-    Parameters
-    ----------
-    params : MarketParams
-    N : int
-        Maximum moment degree, >= 0.
-    form : {'raw', 'scaled'}
-    weight : WeightParams, required iff form == 'scaled'
-        Auxiliary log-normal parameters defining the moment scaling
-        s_n = exp(n mu + n^2 nu^2 / 2).
-    """
-    N = _check_degree(N)
-    if form not in ("raw", "scaled"):
-        raise ValidationError(f"unknown generator form {form!r}", module="model")
-    if form == "scaled" and weight is None:
-        raise ValidationError("scaled generator requires weight parameters", module="model")
-    if form == "raw" and weight is not None:
-        raise ValidationError("raw generator takes no weight parameters", module="model")
-
-    n = np.arange(N + 1, dtype=float)
-    G = np.zeros((N + 1, N + 1))
-    G[np.arange(N + 1), np.arange(N + 1)] = n * params.r + 0.5 * n * (n - 1) * params.sigma**2
-    sub = n[1:] / params.T
-    if form == "scaled":
-        sub = sub * np.exp(-weight.mu + 0.5 * (1.0 - 2.0 * n[1:]) * weight.nu2)
-    G[np.arange(1, N + 1), np.arange(N)] = sub
-    if not np.all(np.isfinite(G)):
-        raise MomentOverflowError("generator entries overflow double precision",
-                                  module="model")
-    return GeneratorMatrix(N=N, entries=G, form=form)
-
-
 def moments(params: MarketParams, N: int, kind: str = "raw",
             weight: Optional["WeightParams"] = None) -> MomentVector:
     """Moments of A_T up to degree N via the action of the matrix exponential.
@@ -168,9 +108,14 @@ def moments(params: MarketParams, N: int, kind: str = "raw",
     A_T / S0 (the average of the unit-initial-price process); the average
     scales linearly in S0.  The raw kind returns E[(A_T/S0)^n]; the relative
     kind divides moment n by s_n = exp(n mu + n^2 nu^2 / 2) for the scaling
-    implied by ``weight``.  The action
-    exp(G T) e_1 is evaluated directly (Al-Mohy/Higham style) instead of
-    forming the full matrix exponential; on bidiagonal generators this is
+    implied by ``weight``.
+
+    The generator G of the moment ODE is lower bidiagonal: its diagonal is
+    lambda_n = n r + n (n - 1) sigma^2 / 2 and its subdiagonal n / T.  The
+    relative kind multiplies subdiagonal entry n by
+    exp(-mu + (1 - 2n) nu^2 / 2), the diagonal similarity with s_n.  The
+    action exp(G T) e_1 is evaluated directly (Al-Mohy/Higham style) instead
+    of forming the full matrix exponential; on bidiagonal generators this is
     both faster and slightly more accurate than scaling-and-squaring the
     matrix itself.
 
@@ -183,13 +128,24 @@ def moments(params: MarketParams, N: int, kind: str = "raw",
     N = _check_degree(N)
     if kind not in ("raw", "relative"):
         raise ValidationError(f"unknown moment kind {kind!r}", module="model")
-    form = "raw" if kind == "raw" else "scaled"
-    G = generator(params, N, form=form, weight=weight)
+    if kind == "relative" and weight is None:
+        raise ValidationError("relative moments require weight parameters", module="model")
+    if kind == "raw" and weight is not None:
+        raise ValidationError("raw moments take no weight parameters", module="model")
+
+    n = np.arange(N + 1, dtype=float)
+    sub = n[1:] / params.T
+    if kind == "relative":
+        sub = sub * np.exp(-weight.mu + 0.5 * (1.0 - 2.0 * n[1:]) * weight.nu2)
+    G = np.diag(n * params.r + 0.5 * n * (n - 1) * params.sigma**2) + np.diag(sub, -1)
+    if not np.all(np.isfinite(G)):
+        raise MomentOverflowError("generator entries overflow double precision",
+                                  module="model")
 
     e1 = np.zeros(N + 1)
     e1[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        values = expm_multiply(G.entries * params.T, e1)
+        values = expm_multiply(G * params.T, e1)
     if not np.all(np.isfinite(values)):
         if kind == "raw":
             raise MomentOverflowError(

@@ -141,20 +141,18 @@ class SeriesApproximation:
     basis: OrthonormalBasis = field(repr=False)
     diagnostics: dict = field(repr=False, default_factory=dict)
 
-    @property
-    def eps_F(self) -> float:
-        """Alias used in error-bound contexts."""
-        return self.eps_payoff
-
     def partial_prices(self) -> np.ndarray:
         """Prices of every truncation 0..N (cumulative partial sums)."""
         return np.cumsum(self.f * self.ell)
 
     def convergence_diagnostic(self) -> float:
-        """|price_N - price_{N-1}|; heuristic only, not an error bound."""
-        if self.N == 0:
+        """|f_R ell_R|, the last term the basis resolves (R =
+        ``basis.resolvable_degree``; terms above R are exact zeros); NaN
+        when R = 0.  Heuristic only, not an error bound."""
+        R = self.basis.resolvable_degree
+        if R == 0:
             return math.nan
-        return abs(float(self.f[-1] * self.ell[-1]))
+        return abs(float(self.f[R] * self.ell[R]))
 
     def eps_payoff_profile(self) -> np.ndarray:
         """eps_F at every truncation order 0..N (non-increasing)."""
@@ -163,11 +161,6 @@ class SeriesApproximation:
     def density(self) -> DensityApproximant:
         return DensityApproximant(N=self.N, weight=self.weight, ell=self.ell,
                                   basis=self.basis)
-
-
-def density_approx(approx: SeriesApproximation, x) -> np.ndarray:
-    """Evaluate the series density of the normalized average at x > 0."""
-    return approx.density()(x)
 
 
 @lru_cache(maxsize=128)

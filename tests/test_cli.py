@@ -56,6 +56,8 @@ class TestPriceCommand:
         assert "weight_mu" in doc["config"]
         # case-1 nu^2: the basis keeps degrees 0..9 of the requested 20
         assert [res["resolvable_degree"] for res in doc["results"]] == [9, 9, 9]
+        # so the convergence diagnostic reads |f_9 ell_9|, not the zero term N
+        assert all(res["convergence_diag"] > 0.0 for res in doc["results"])
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["price", "--bogus", "1"]) == 2
@@ -246,6 +248,11 @@ class TestErrboundCommand:
 
 
 class TestEntryPoints:
+    def test_public_names_resolve(self):
+        import asianlns
+        missing = [name for name in asianlns.__all__ if not hasattr(asianlns, name)]
+        assert missing == []
+
     def test_module_invocation(self):
         res = subprocess.run([sys.executable, "-m", "asianlns.cli", "--version"],
                              capture_output=True, text=True)

@@ -81,6 +81,17 @@ class TestSimulate:
         assert np.array_equal(sa.terminal, sb.terminal)
         ea, eb = price_cv(m, a), price_cv(m, b)
         assert ea.value == eb.value and ea.std_error == eb.std_error
+        # the estimators reduce chunk by chunk in chunk order, so batches
+        # changes none of their results either
+        x = np.linspace(0.6, 1.6, 20)
+        da, db = density_cv(m, a, x), density_cv(m, b, x)
+        for name in ("value", "std_error", "variance_reduction"):
+            assert np.array_equal(getattr(da, name), getattr(db, name), equal_nan=True)
+        w = default_weight(m, mean_average(m))
+        for tilde in (False, True):
+            la = likelihood_norm_sq(m, a, w, tilde_from_weight=tilde)
+            lb = likelihood_norm_sq(m, b, w, tilde_from_weight=tilde)
+            assert la.value == lb.value and la.std_error == lb.std_error
 
     def test_seed_changes_draws(self):
         m = MarketParams(r=0.05, sigma=0.4, T=1.0, S0=1.0, K=1.0)

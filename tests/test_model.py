@@ -1,4 +1,4 @@
-"""Tests for market parameters, the generator matrix and moment computation."""
+"""Tests for market parameters and moment computation."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asianlns import (MarketParams, MomentOverflowError, ValidationError,
-                      generator, mean_average, moments)
+                      mean_average, moments)
 from asianlns.basis import default_weight
 
 from oracles import rk4_moments
@@ -47,50 +47,6 @@ class TestMarketParams:
         m = MarketParams(r=0.02, sigma=0.1, T=1.0, S0=2.0, K=3.0)
         n = m.normalized()
         assert n.S0 == 1.0 and n.K == 1.5 and n.r == m.r
-
-
-class TestGenerator:
-    def test_two_by_two_zero_rate(self):
-        G = generator(MarketParams(r=0.0, sigma=0.1, T=1.0, S0=1.0, K=1.0), 1)
-        np.testing.assert_array_equal(G.entries, [[0.0, 0.0], [1.0, 0.0]])
-
-    def test_diagonal_and_subdiagonal(self):
-        # lambda_2 = 2r + sigma^2 is forced by the drift/diffusion coefficients
-        G = generator(MarketParams(r=0.05, sigma=0.5, T=2.0, S0=1.0, K=1.0), 2)
-        np.testing.assert_allclose(np.diag(G.entries), [0.0, 0.05, 0.35], rtol=1e-15)
-        np.testing.assert_allclose(np.diag(G.entries, -1), [0.5, 1.0], rtol=1e-15)
-
-    def test_scaled_subdiagonal(self):
-        # entry n is (n/T) exp(-mu + (1 - 2n) nu^2 / 2): the diagonal
-        # similarity with the weight moments s_n forces the (1 - 2n) factor
-        from asianlns import WeightParams
-        m = MarketParams(r=0.05, sigma=0.5, T=1.0, S0=1.0, K=1.0)
-        w = WeightParams(mu=-0.1, nu=0.36)
-        G = generator(m, 2, form="scaled", weight=w)
-        nu2 = 0.36**2
-        expect = [math.exp(0.1 - 0.5 * nu2), 2.0 * math.exp(0.1 - 1.5 * nu2)]
-        np.testing.assert_allclose(np.diag(G.entries, -1), expect, rtol=1e-15)
-        # diagonals identical to the raw form
-        np.testing.assert_array_equal(np.diag(G.entries),
-                                      np.diag(generator(m, 2).entries))
-
-    def test_bidiagonal_structure(self):
-        G = generator(MarketParams(r=0.1, sigma=0.4, T=0.7, S0=1.0, K=1.0), 6)
-        e = G.entries
-        assert e[0, 0] == 0.0
-        for i in range(7):
-            for j in range(7):
-                if j not in (i, i - 1):
-                    assert e[i, j] == 0.0
-
-    def test_validation(self):
-        m = MarketParams(r=0.0, sigma=0.1, T=1.0, S0=1.0, K=1.0)
-        with pytest.raises(ValidationError):
-            generator(m, -1)
-        with pytest.raises(ValidationError):
-            generator(m, 3, form="scaled")  # weight missing
-        with pytest.raises(ValidationError):
-            generator(m, 3, form="bogus")
 
 
 class TestMoments:
@@ -167,6 +123,8 @@ class TestMoments:
 
     def test_validation(self):
         m = MarketParams(r=0.0, sigma=0.1, T=1.0, S0=1.0, K=1.0)
+        with pytest.raises(ValidationError):
+            moments(m, -1)
         with pytest.raises(ValidationError):
             moments(m, 3, kind="bogus")
         with pytest.raises(ValidationError):

@@ -9,8 +9,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from asianlns import (ConditioningWarning, MarketParams, ValidationError,
-                      WeightParams, default_weight, density_approx,
-                      likelihood_coefficients, moments, payoff_coefficients,
+                      WeightParams, default_weight, likelihood_coefficients, moments, payoff_coefficients,
                       orthonormal_basis, payoff_norm_sq, price,
                       scaled_payoff_projections, weight_density)
 from asianlns.pricer import _d_values, clear_kernel_cache
@@ -244,6 +243,15 @@ class TestPrice:
         assert np.all(ap.basis.cbar[10:] == 0.0)
         assert abs(ap.price - 0.0559960648) < 1e-7
 
+    def test_convergence_diagnostic_reads_resolved_degree(self, cases):
+        # case 1 at N = 20 keeps degrees 0..9: the term at N is an exact zero,
+        # so the diagnostic must read the last resolved term |f_9 ell_9|
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            ap = price(cases[1], 20)
+        assert ap.f[20] * ap.ell[20] == 0.0
+        assert ap.convergence_diagnostic() == abs(float(ap.f[9] * ap.ell[9])) > 0.0
+
     def test_order_40_at_unit_vol(self):
         # nu^2 N^2 = 800: the largest entries of Mbar overflow, but the
         # log-domain basis keeps every degree (60-digit value of the series)
@@ -275,7 +283,7 @@ class TestDensityApprox:
     def test_order_zero_is_weight(self, cases):
         ap = price(cases[3], 0)
         x = np.linspace(0.5, 2.0, 7)
-        np.testing.assert_allclose(density_approx(ap, x),
+        np.testing.assert_allclose(ap.density()(x),
                                    weight_density(ap.weight, x), rtol=1e-10)
 
     @staticmethod
@@ -306,7 +314,7 @@ class TestDensityApprox:
             ap = price(cases[1], 20)
         w = ap.weight
         x = np.linspace(math.exp(w.mu - 5 * w.nu), math.exp(w.mu + 5 * w.nu), 400)
-        assert density_approx(ap, x).min() < 0.0  # documented, not an error
+        assert ap.density()(x).min() < 0.0  # documented, not an error
 
     def test_matches_cv_estimator_case3(self, cases, full_mc):
         # moderate-tau regime: the series density tracks the Monte-Carlo
@@ -320,11 +328,11 @@ class TestDensityApprox:
         w = ap.weight
         x = np.linspace(math.exp(w.mu - 2.57 * w.nu), math.exp(w.mu + 2.57 * w.nu), 200)
         est = density_cv(m, full_mc, x)
-        diff = np.abs(density_approx(ap, x) - est.value)
+        diff = np.abs(ap.density()(x) - est.value)
         tol = np.maximum(3.0 * est.std_error, 0.01 * est.value.max())
         assert np.mean(diff <= tol) >= 0.95
 
     def test_rejects_nonpositive(self, cases):
         ap = price(cases[3], 4)
         with pytest.raises(ValidationError):
-            density_approx(ap, 0.0)
+            ap.density()(0.0)
