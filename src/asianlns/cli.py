@@ -28,7 +28,7 @@ import time
 import warnings
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 from . import __version__
 from .basis import weight_density
@@ -258,7 +258,7 @@ def cmd_density(ns, stdout, stderr) -> int:
     diagnostics.extend(str(w.message) for w in wlist)
 
     w = approx.weight
-    z = float(_norm.ppf(0.5 + 0.5 * _GRID_MASS))
+    z = float(ndtri(0.5 + 0.5 * _GRID_MASS))
     gmin = ns.grid_min if ns.grid_min is not None else float(np.exp(w.mu - z * w.nu))
     gmax = ns.grid_max if ns.grid_max is not None else float(np.exp(w.mu + z * w.nu))
     if not (0.0 < gmin < gmax) or ns.grid_points < 2:

@@ -11,9 +11,17 @@ Reproducibility contract: paths are generated in fixed-size chunks, each
 from its own counter-based Philox substream keyed by (seed, stream, chunk).
 The ``batches`` knob only controls worker parallelism; results are
 bit-identical for a given (seed, paths, dt) regardless of it.  Every
-estimator reduces its per-path terms in one chunk loop (``_chunk_stats``)
-over ``iter_path_batches``, so ``likelihood_norm_sq`` and its second
-stream follow ``batches`` like the others.
+estimator turns each chunk into (n, mean, M2) and merges the chunks in
+chunk order in one loop (``_chunk_stats``) over ``iter_path_batches``, so
+``likelihood_norm_sq`` and its second stream follow ``batches`` like the
+others.
+
+The grid estimators never form a grid x paths array.  Each chunk sorts
+each level it needs once; ``np.searchsorted`` then places every grid
+point, and prefix and suffix cumulative sums of the weights and squared
+weights give each point's sum and sum of squares in O(n log n + G).  A
+point whose set of paths is empty reads an exact 0, so the estimate and
+its standard error vanish exactly below and above every sample.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ValidationError
 from .model import MarketParams, mean_average
@@ -66,6 +74,14 @@ class McConfig:
             object.__setattr__(self, "batches", _default_batches())
 
 
+def _std_error(n: int, m2):
+    """Standard error sqrt(M2 / (n - 1) / n) of a mean of n samples; inf
+    for a single sample, which says nothing about its spread."""
+    if n < 2:
+        return np.full_like(m2, np.inf)
+    return np.sqrt(m2 / (n - 1) / n)
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Point estimate with its standard error and 95% interval."""
@@ -78,7 +94,7 @@ class McEstimate:
 
     @staticmethod
     def from_stats(n: int, mean: float, m2: float, config: McConfig) -> "McEstimate":
-        se = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
+        se = float(_std_error(n, m2))
         return McEstimate(value=mean, std_error=se,
                           ci95=(mean - 1.96 * se, mean + 1.96 * se),
                           n_effective=n, config=config)
@@ -191,7 +207,7 @@ def geometric_price_closed_form(market: MarketParams) -> float:
         return disc * fwd
     d1 = (m + s * s - math.log(market.K)) / s
     d2 = (m - math.log(market.K)) / s
-    return disc * (fwd * norm.cdf(d1) - market.K * norm.cdf(d2))
+    return disc * (fwd * ndtr(d1) - market.K * ndtr(d2))
 
 
 def _merge_stats(nA, meanA, m2A, nB, meanB, m2B):
@@ -203,17 +219,27 @@ def _merge_stats(nA, meanA, m2A, nB, meanB, m2B):
     return n, mean, m2
 
 
-def _chunk_stats(chunks, terms) -> list:
-    """(n, mean, M2) of each array that ``terms(chunk)`` returns, merged over
-    the chunks in order.  Each array holds one sample per path along its
-    last axis; the temporaries of ``terms`` are freed chunk by chunk."""
-    stats = None
+def _chunk_stats(chunks, stats) -> list:
+    """Merge, over the chunks in order, the (n, mean, M2) triples that
+    ``stats(chunk)`` returns; the temporaries of ``stats`` are freed chunk
+    by chunk."""
+    merged = None
     for chunk in chunks:
-        part = [(v.shape[-1], v.mean(axis=-1), v.var(axis=-1) * v.shape[-1])
-                for v in terms(chunk)]
-        stats = part if stats is None else [_merge_stats(*a, *b)
-                                            for a, b in zip(stats, part)]
-    return stats
+        part = stats(chunk)
+        merged = part if merged is None else [_merge_stats(*a, *b)
+                                              for a, b in zip(merged, part)]
+    return merged
+
+
+def _sample_stats(v: np.ndarray) -> tuple:
+    """(n, mean, M2) of an array of one sample per path."""
+    return v.shape[0], v.mean(), v.var() * v.shape[0]
+
+
+def _sums_stats(n: int, total, total_sq) -> tuple:
+    """(n, mean, M2) from the sum and the sum of squares of n samples; M2 is
+    floored at 0 against rounding."""
+    return n, total / n, np.maximum(total_sq - total * total / n, 0.0)
 
 
 def price_cv(market: MarketParams, config: McConfig) -> McEstimate:
@@ -227,11 +253,11 @@ def price_cv(market: MarketParams, config: McConfig) -> McEstimate:
     disc = math.exp(-market.r * market.T)
     geo = geometric_price_closed_form(market)
 
-    def terms(p: PathBatch):
-        return (disc * (np.maximum(p.average - market.K, 0.0)
-                        - np.maximum(p.geo_average - market.K, 0.0)) + geo,)
+    def stats(p: PathBatch):
+        return [_sample_stats(disc * (np.maximum(p.average - market.K, 0.0)
+                                      - np.maximum(p.geo_average - market.K, 0.0)) + geo)]
 
-    [(n, mean, m2)] = _chunk_stats(iter_path_batches(market, config), terms)
+    [(n, mean, m2)] = _chunk_stats(iter_path_batches(market, config), stats)
     return McEstimate.from_stats(n, float(mean), float(m2), config)
 
 
@@ -250,14 +276,51 @@ def _geo_malliavin_weight(market: MarketParams, p: PathBatch) -> np.ndarray:
 
 
 def _ibp_term(level: np.ndarray, x, mean: float, w: np.ndarray) -> np.ndarray:
-    """Integration-by-parts density term (1{level >= x} - 1{x <= mean}) w.
+    """Integration-by-parts density term (1{level >= x} - 1{x <= mean}) w,
+    at one point x per path.
 
     Its expectation is the density of ``level`` at x; subtracting the
     deterministic 1{x <= E[level]} pins it to zero for x -> 0 instead of
-    leaving pure Monte-Carlo noise there.  ``x`` is a grid column (one row
-    per point) or one point per path.
+    leaving pure Monte-Carlo noise there.  On a grid the same term is
+    summed by ``_ibp_sums``.
     """
     return ((level >= x).astype(float) - (x <= mean)) * w
+
+
+def _split_sums(level: np.ndarray, x: np.ndarray, *weights) -> tuple:
+    """Sums of each weight over {level < x} and over {level >= x}, for every
+    grid point x, from one sort of ``level``.
+
+    Returns (below, above), each with one row per weight.  Both come from
+    cumulative sums padded with a 0, the prefix in front and the suffix
+    behind, so an empty set sums to an exact 0 rather than to a total minus
+    a partial sum.  A tie level == x falls in the upper set.
+    """
+    order = np.argsort(level)
+    k = np.searchsorted(level[order], x, side="left")
+    below = np.zeros((len(weights), level.shape[0] + 1))
+    above = np.zeros_like(below)
+    for row, w in enumerate(weights):
+        w = w[order]
+        np.cumsum(w, out=below[row, 1:])
+        np.cumsum(w[::-1], out=above[row, -2::-1])
+    return below[:, k], above[:, k]
+
+
+def _ibp_sums(level: np.ndarray, x: np.ndarray, mean: float, w: np.ndarray,
+              *cross) -> tuple:
+    """Sum and sum of squares over a chunk of ``_ibp_term(level, x, mean, w)``
+    for every grid point x, with no grid x paths array.
+
+    Where x <= mean the term is -w on {level < x} and 0 elsewhere, so the
+    prefix sums over that set are read with sign -1; elsewhere it is w on
+    {level >= x}.  The sums of the weights in ``cross`` over {level >= x}
+    come back as well, from the same sort.
+    """
+    below, above = _split_sums(level, x, w, w * w, *cross)
+    low = x <= mean
+    return (np.where(low, -below[0], above[0]), np.where(low, below[1], above[1]),
+            *above[2:])
 
 
 def geo_average_density(market: MarketParams, x) -> np.ndarray:
@@ -288,17 +351,23 @@ def _check_grid(x_grid) -> np.ndarray:
 def density_malliavin(market: MarketParams, config: McConfig,
                       x_grid) -> DensityGridEstimate:
     """Density of A_T on a grid from the integration-by-parts identity
-    g(x) = E[(1{A_T >= x} - 1{x <= E[A_T]}) W] (see ``_ibp_term``)."""
+    g(x) = E[(1{A_T >= x} - 1{x <= E[A_T]}) W] (see ``_ibp_term``).
+
+    Each chunk sorts its A_T samples once and reads every grid point's sum
+    and sum of squares of the term from cumulative sums (``_ibp_sums``).
+    Below and above every sample the estimate and its standard error are
+    exact zeros.
+    """
     x = _check_grid(x_grid)
     m1 = mean_average(market)
 
-    def terms(p: PathBatch):
-        return (_ibp_term(p.average, x[:, None], m1, _arith_malliavin_weight(market, p)),)
+    def stats(p: PathBatch):
+        return [_sums_stats(p.n, *_ibp_sums(p.average, x, m1,
+                                            _arith_malliavin_weight(market, p)))]
 
-    [(n, mean, m2)] = _chunk_stats(iter_path_batches(market, config), terms)
-    se = np.sqrt(m2 / (n - 1) / n)
-    return DensityGridEstimate(x=x, value=mean, std_error=se, n_effective=n,
-                               config=config)
+    [(n, mean, m2)] = _chunk_stats(iter_path_batches(market, config), stats)
+    return DensityGridEstimate(x=x, value=mean, std_error=_std_error(n, m2),
+                               n_effective=n, config=config)
 
 
 def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEstimate:
@@ -309,25 +378,46 @@ def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEst
     correlated, which cancels most of the noise.  The per-point variance
     reduction factor against the plain estimator (computed on the same
     paths) is reported; it is NaN where either variance vanishes.
+
+    Per chunk, with a = the A_T term, b = the Q_T term and u = W_A W_Q:
+    one sort by A_T gives the sums of a and a^2, one by Q_T those of b and
+    b^2, and as q(x) is a constant the control-variate variance is that of
+    a - b, which needs the cross sum of a b.  Its indicator products are
+    1{A >= x} 1{Q >= x} = 1{min(A, Q) >= x} and
+    1{A < x} 1{Q < x} = 1{max(A, Q) < x}, so two more sorts, of u by
+    min(A, Q) and by max(A, Q), give it; where only one of the two shifts
+    1{x <= E[.]} is on, it is the min sum less the sum of u over
+    {level >= x} for the level whose shift is off.  A_T >= Q_T is not
+    assumed pathwise: it holds in exact arithmetic but not after rounding.
+    Where no path is in a term's set its sums are exact zeros.  The
+    variance comes from expanded sums, so its relative rounding error is
+    about the unit roundoff times the variance reduction factor.
     """
     x = _check_grid(x_grid)
-    col = x[:, None]
     mq, sq = _geo_law(market)
     m1a, m1q = mean_average(market), math.exp(mq + 0.5 * sq * sq)
-    qx = geo_average_density(market, x)[:, None]
+    qx = geo_average_density(market, x)
+    low_a, low_q = x <= m1a, x <= m1q
 
-    def terms(p: PathBatch):
-        plain = _ibp_term(p.average, col, m1a, _arith_malliavin_weight(market, p))
-        return plain, plain - _ibp_term(p.geo_average, col, m1q,
-                                        _geo_malliavin_weight(market, p)) + qx
+    def stats(p: PathBatch):
+        wa, wq = _arith_malliavin_weight(market, p), _geo_malliavin_weight(market, p)
+        u = wa * wq
+        sa, sa2, ua = _ibp_sums(p.average, x, m1a, wa, u)
+        sb, sb2, uq = _ibp_sums(p.geo_average, x, m1q, wq, u)
+        (u_lo,), _ = _split_sums(np.maximum(p.average, p.geo_average), x, u)
+        _, (u_hi,) = _split_sums(np.minimum(p.average, p.geo_average), x, u)
+        sab = np.where(low_a, np.where(low_q, u_lo, u_hi - uq),
+                       np.where(low_q, u_hi - ua, u_hi))
+        sd = sa - sb
+        n, mean_d, m2_cv = _sums_stats(p.n, sd, sa2 - 2.0 * sab + sb2)
+        return [_sums_stats(p.n, sa, sa2), (n, mean_d + qx, m2_cv)]
 
     (_, _, m2_plain), (n, mean_cv, m2_cv) = _chunk_stats(
-        iter_path_batches(market, config), terms)
-    se = np.sqrt(m2_cv / (n - 1) / n)
+        iter_path_batches(market, config), stats)
     with np.errstate(divide="ignore", invalid="ignore"):
         vr = np.where((m2_cv > 0) & (m2_plain > 0), m2_plain / m2_cv, np.nan)
-    return DensityGridEstimate(x=x, value=mean_cv, std_error=se, n_effective=n,
-                               config=config, variance_reduction=vr)
+    return DensityGridEstimate(x=x, value=mean_cv, std_error=_std_error(n, m2_cv),
+                               n_effective=n, config=config, variance_reduction=vr)
 
 
 def likelihood_norm_sq(market: MarketParams, config: McConfig, weight: WeightParams,
@@ -364,14 +454,14 @@ def likelihood_norm_sq(market: MarketParams, config: McConfig, weight: WeightPar
         pairs = ((p, t.average)
                  for p, t in zip(stream0, iter_path_batches(market, config, stream=1)))
 
-    def terms(pair):
+    def stats(pair):
         p, at = pair
         num = (_ibp_term(p.average, at, m1a, _arith_malliavin_weight(market, p))
                + geo_average_density(market, at)
                - _ibp_term(p.geo_average, at, m1q, _geo_malliavin_weight(market, p)))
-        return (num / weight_density(weight, at),)
+        return [_sample_stats(num / weight_density(weight, at))]
 
-    [(n, mean, m2)] = _chunk_stats(pairs, terms)
+    [(n, mean, m2)] = _chunk_stats(pairs, stats)
     return McEstimate.from_stats(n, float(mean), float(m2), config)
 
 
@@ -453,6 +543,6 @@ def tail_envelope_diagnostic(market: MarketParams, batch: PathBatch,
     x = a[idx]
     surv = 1.0 - idx / n
     shift = max(market.r - 0.5 * market.sigma**2, 0.0) * market.T
-    bound = 2.0 * norm.sf((np.log(x) - shift) / (market.sigma * math.sqrt(market.T)))
+    bound = 2.0 * ndtr(-(np.log(x) - shift) / (market.sigma * math.sqrt(market.T)))
     ratio = surv / bound
     return TailDiagnostic(max_ratio=float(np.max(ratio)), n_points=len(x))

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .basis import OrthonormalBasis, WeightParams, default_weight, orthonormal_basis, weight_density
 from .errors import ConditioningWarning, ValidationError
@@ -45,7 +45,7 @@ def scaled_payoff_projections(weight: WeightParams, strike: float, N: int) -> np
     lead = np.exp(weight.mu + 0.5 * (2.0 * i + 1.0) * weight.nu2)
     if strike == 0.0:
         return lead
-    Phi = norm.cdf(_d_values(weight, strike, N + 2))
+    Phi = ndtr(_d_values(weight, strike, N + 2))
     return lead * Phi[1:] - strike * Phi[:-1]
 
 
@@ -90,7 +90,7 @@ def payoff_norm_sq(market: MarketParams, weight: WeightParams) -> float:
     if k == 0.0:
         val = disc2 * math.exp(2.0 * weight.mu + 2.0 * weight.nu2)
     else:
-        d = norm.cdf(_d_values(weight, k, 3))
+        d = ndtr(_d_values(weight, k, 3))
         val = disc2 * (math.exp(2.0 * weight.mu + 2.0 * weight.nu2) * d[2]
                        - 2.0 * k * math.exp(weight.mu + 0.5 * weight.nu2) * d[1]
                        + k * k * d[0])

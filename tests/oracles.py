@@ -3,8 +3,10 @@
 These deliberately avoid the library's computational paths: moments come
 from a hand-rolled RK4 integration of the moment ODE, inner products from
 adaptive quadrature in log space, orthonormality checks from
-Gauss-Hermite quadrature, and basis coefficients from a high-precision
-Cholesky factorization of the scaled Gram matrix.
+Gauss-Hermite quadrature, basis coefficients from a high-precision
+Cholesky factorization of the scaled Gram matrix, and the grid density
+estimators from their brute-force grid x paths formula on the library's
+paths.
 """
 
 import math
@@ -91,3 +93,36 @@ def mp_cbar(nu2, N, dps=90):
             for k in range(n):
                 C[n][k] = -sum(L[n, m] * C[m][k] for m in range(k, n)) / L[n, n]
         return np.array([[float(c) for c in row] for row in C])
+
+
+def dense_ibp_density(market, config, x, control_variate):
+    """Brute-force integration-by-parts density estimate on a grid.
+
+    Builds every term as a grid x paths array over all paths at once:
+    (1{A >= x} - 1{x <= E[A]}) W_A for the plain estimator, less the same
+    term for the geometric average Q plus its closed-form density q(x) for
+    the control-variate one, whose variance is that of the difference of
+    the two terms, q(x) being a constant.  Returns (value, std_error,
+    variance_reduction), the last None for the plain estimator.  Only the
+    paths and the weights come from the library.
+    """
+    from asianlns import geo_average_density, mean_average, simulate
+    from asianlns.mc import _arith_malliavin_weight, _geo_malliavin_weight
+
+    x = np.asarray(x, dtype=float)[:, None]
+    p = simulate(market, config)
+    plain = ((p.average >= x).astype(float) - (x <= mean_average(market))) \
+        * _arith_malliavin_weight(market, p)
+    n = p.n
+    if not control_variate:
+        return plain.mean(axis=1), np.sqrt(plain.var(axis=1) / (n - 1)), None
+    mq = 0.5 * (market.r - 0.5 * market.sigma**2) * market.T
+    m1q = math.exp(mq + market.sigma**2 * market.T / 6.0)
+    geo = ((p.geo_average >= x).astype(float) - (x <= m1q)) \
+        * _geo_malliavin_weight(market, p)
+    diff = plain - geo
+    v_plain, v_cv = plain.var(axis=1), diff.var(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vr = np.where((v_cv > 0) & (v_plain > 0), v_plain / v_cv, np.nan)
+    return (diff.mean(axis=1) + geo_average_density(market, x[:, 0]),
+            np.sqrt(v_cv / (n - 1)), vr)

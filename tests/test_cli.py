@@ -253,6 +253,16 @@ class TestEntryPoints:
         missing = [name for name in asianlns.__all__ if not hasattr(asianlns, name)]
         assert missing == []
 
+    def test_import_leaves_out_scipy_stats(self):
+        # importing scipy.stats costs more than half a second and ~36 MB;
+        # the library needs only scipy.special's normal CDF and quantile
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import asianlns, asianlns.cli, sys; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
     def test_module_invocation(self):
         res = subprocess.run([sys.executable, "-m", "asianlns.cli", "--version"],
                              capture_output=True, text=True)

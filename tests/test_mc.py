@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo engine: simulation, estimators, error bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from asianlns import (MarketParams, McConfig, ValidationError, WeightParams,
                       squared_relative_error, tail_envelope_diagnostic)
 from asianlns.mc import CHUNK_PATHS, _arith_malliavin_weight, _geo_malliavin_weight
 
-from oracles import quad_weighted
+from oracles import dense_ibp_density, quad_weighted
 
 
 class TestConfig:
@@ -215,6 +216,62 @@ class TestDensityEstimators:
     def test_grid_validation(self, cases, light_mc):
         with pytest.raises(ValidationError):
             density_malliavin(cases[5].normalized(), light_mc, np.array([0.0, 1.0]))
+
+
+class TestGridReduction:
+    """The sorted per-chunk grid reduction against the brute-force
+    grid x paths formula on the same paths."""
+
+    @staticmethod
+    def assert_matches(got, want):
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("case", [1, 3, 5])
+    def test_matches_dense_oracle(self, cases, case):
+        m = cases[case].normalized()
+        cfg = McConfig(paths=CHUNK_PATHS + 5000, dt=2e-2, seed=case)
+        p = simulate(m, cfg)
+        lo, hi = p.geo_average.min(), p.average.max()
+        m1a = mean_average(m)
+        m1q = math.exp(0.5 * (m.r - 0.5 * m.sigma**2) * m.T + m.sigma**2 * m.T / 6.0)
+        assert m1q < m1a
+        x = np.concatenate([
+            np.linspace(hi, lo, 40),                          # descending
+            [m1a, 1.05 * m1a, m1a],                           # a repeated point
+            p.average[[0, 7, CHUNK_PATHS + 3]],               # ties with samples,
+            p.geo_average[[1, CHUNK_PATHS + 9]],              # in both chunks
+            np.linspace(m1q, m1a, 6)[1:-1],                   # 1{x <= E[A]} only
+            [0.5 * lo, 2.0 * hi]])                            # outside every sample
+        plain = density_malliavin(m, cfg, x)
+        cv = density_cv(m, cfg, x)
+        value, se, _ = dense_ibp_density(m, cfg, x, control_variate=False)
+        self.assert_matches(plain.value, value)
+        self.assert_matches(plain.std_error, se)
+        value, se, vr = dense_ibp_density(m, cfg, x, control_variate=True)
+        self.assert_matches(cv.value, value)
+        self.assert_matches(cv.std_error, se)
+        self.assert_matches(cv.variance_reduction, vr)
+        # outside every sample each term's set of paths is empty
+        for est in (plain, cv):
+            assert np.all(est.std_error[-2:] == 0.0)
+        assert np.all(plain.value[-2:] == 0.0)
+        assert np.all(np.isnan(cv.variance_reduction[-2:]))
+
+    def test_single_path_standard_error_is_inf(self):
+        m = MarketParams(r=0.05, sigma=0.4, T=1.0, S0=1.0, K=1.0)
+        cfg = McConfig(paths=1, dt=1e-2, seed=3)
+        x = np.array([0.5, 1.0, 1.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = [density_malliavin(m, cfg, x), density_cv(m, cfg, x)]
+            priced = price_cv(m, cfg)
+        for est in ests:
+            assert np.all(np.isfinite(est.value))
+            assert np.all(est.std_error == math.inf)
+        assert np.all(np.isnan(ests[1].variance_reduction))
+        assert priced.std_error == math.inf
 
 
 class TestLikelihoodNorm:
