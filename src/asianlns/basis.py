@@ -34,14 +34,13 @@ series.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConditioningWarning, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .model import MarketParams, _check_degree
 
 #: largest rounding estimate eta_n of a kept basis degree: the coefficient
@@ -139,14 +138,18 @@ class OrthonormalBasis:
     resolvable_degree : int
         Largest degree kept: up to it every row's rounding estimate eta_n
         is at most ``CLOSED_FORM_ETA_MAX``.
+    eta : ndarray
+        The rounding estimates eta_0 .. eta_N, of the dropped degrees too.
     jitter : float
-        Always 0.0: no diagonal regularization is ever added to Mbar.
+        Always 0.0: no diagonal regularization is ever added to Mbar.  Kept
+        only because ``perfbench/tracing.py`` reads it.
     """
 
     weight: WeightParams
     N: int
     cbar: np.ndarray = field(repr=False)
     resolvable_degree: int
+    eta: np.ndarray = field(repr=False)
     jitter: ClassVar[float] = 0.0
 
     def solve_scaled(self, vbar: np.ndarray) -> np.ndarray:
@@ -230,8 +233,8 @@ def orthonormal_basis(weight: WeightParams, N: int) -> OrthonormalBasis:
     eta_n = u sum_k |cbar_nk| sqrt(Mbar_kk) is at most
     ``CLOSED_FORM_ETA_MAX``.  From the first degree above that limit on, the
     rows of cbar are set to exact zeros, ``resolvable_degree`` is the last
-    degree kept, and one ConditioningWarning names the dropped degrees.
-    eta_n grows with n and with 1/nu^2: at nu^2 = 0.0051 (case 1 of the
+    degree kept, and the basis keeps eta for the ``truncated`` record of a
+    price.  eta_n grows with n and with 1/nu^2: at nu^2 = 0.0051 (case 1 of the
     benchmark table) degrees 10 and above are dropped, and every series
     built on the basis (price, density, eps_F profile) is then the series
     of degree ``resolvable_degree``.
@@ -258,11 +261,6 @@ def orthonormal_basis(weight: WeightParams, N: int) -> OrthonormalBasis:
         raise NumericalError(
             f"basis coefficients of degree {int(np.argmin(lead))} underflow to "
             f"zero (nu^2={nu2:.4g}, N={N})", module="basis")
-    if resolvable < N:
-        cbar[resolvable + 1:] = 0.0
-        warnings.warn(
-            f"basis degrees {resolvable + 1} to {N} dropped: their rounding "
-            f"estimate exceeds {CLOSED_FORM_ETA_MAX:g} at nu^2={nu2:.4g}; the "
-            f"series is truncated at degree {resolvable}",
-            ConditioningWarning, stacklevel=2)
-    return OrthonormalBasis(weight=weight, N=N, cbar=cbar, resolvable_degree=resolvable)
+    cbar[resolvable + 1:] = 0.0
+    return OrthonormalBasis(weight=weight, N=N, cbar=cbar, resolvable_degree=resolvable,
+                            eta=eta)

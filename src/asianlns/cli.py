@@ -10,8 +10,11 @@ Machine-readable output: ``--format csv`` writes an RFC-4180 table with a
 header row and 17-significant-digit numbers (exact double round-trip);
 ``--format json`` emits one object {config, results, diagnostics} whose
 config block, fed back as flags, reproduces the numeric output bit for bit
-at a fixed seed.  The fully resolved configuration (including defaulted
-weight parameters) is echoed to stderr for table and csv formats.
+at a fixed seed.  Its ``diagnostics`` are the records of
+``SeriesApproximation.diagnostics`` behind their context keys, plus
+``failed`` and ``norm_skipped`` records with a ``message``.  Table and csv
+formats echo the resolved configuration (including defaulted weight
+parameters) and one ``# key=value ...`` line per record to stderr.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure (the failing
 module is named on stderr).
@@ -25,7 +28,6 @@ import io
 import json
 import sys
 import time
-import warnings
 
 import numpy as np
 from scipy.special import ndtri
@@ -138,8 +140,8 @@ def _emit(doc: dict, columns, rows, ns, stderr) -> str:
         return json.dumps(doc, indent=2) + "\n"
 
     print("# config: " + json.dumps(doc["config"]), file=stderr)
-    for diag in doc["diagnostics"]:
-        print("# " + diag, file=stderr)
+    for rec in doc["diagnostics"]:
+        print("# " + " ".join(f"{k}={v}" for k, v in rec.items()), file=stderr)
     if fmt == "csv":
         buf = io.StringIO()
         wtr = csv.writer(buf)
@@ -156,30 +158,26 @@ def _emit(doc: dict, columns, rows, ns, stderr) -> str:
     return "\n".join(out) + "\n"
 
 
-def _warn_tau(market: MarketParams, stderr) -> None:
-    if market.tau_warning:
-        print(f"warning: tau={market.tau:.2f} > 0.5: the series method is "
-              "recommended for tau <= 0.5", file=stderr)
+def _records(approx, **context) -> list:
+    """The price's diagnostics records behind the context keys and N."""
+    return [{**context, "N": approx.N, **rec} for rec in approx.diagnostics]
 
 
 def cmd_price(ns, stdout, stderr) -> int:
     market = _market_from(ns)
     orders = _parse_orders(ns.N)
-    _warn_tau(market, stderr)
     config = {"command": "price", "r": market.r, "sigma": market.sigma, "T": market.T,
               "S0": market.S0, "K": market.K, "N": ",".join(map(str, orders)),
               "format": ns.format}
 
     diagnostics, rows, results = [], [], []
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        for N in orders:
-            ap = price(market, N)
-            rows.append((N, ap.price, ap.eps_payoff, ap.convergence_diagnostic()))
-            results.append({"N": N, "price": ap.price, "eps_F": ap.eps_payoff,
-                            "convergence_diag": ap.convergence_diagnostic(),
-                            "resolvable_degree": ap.diagnostics["resolvable_degree"]})
-    diagnostics.extend(str(w.message) for w in wlist)
+    for N in orders:
+        ap = price(market, N)
+        rows.append((N, ap.price, ap.eps_payoff, ap.convergence_diagnostic()))
+        results.append({"N": N, "price": ap.price, "eps_F": ap.eps_payoff,
+                        "convergence_diag": ap.convergence_diagnostic(),
+                        "resolvable_degree": ap.basis.resolvable_degree})
+        diagnostics += _records(ap)
     config.update(weight_mu=ap.weight.mu, weight_nu2=ap.weight.nu2)
 
     doc = {"config": config, "results": results, "diagnostics": diagnostics}
@@ -203,12 +201,10 @@ def cmd_bench(ns, stdout, stderr) -> int:
         row = [idx, market.r, market.sigma, market.T, market.S0, market.K]
         res = {"case": idx}
         try:
-            with warnings.catch_warnings(record=True) as wlist:
-                warnings.simplefilter("always")
-                prices = {N: price(market, N).price for N in (10, 15, 20)}
-            diagnostics.extend(f"case {idx}: {w.message}" for w in wlist)
-            row += [prices[10], prices[15], prices[20]]
-            res.update(lns10=prices[10], lns15=prices[15], lns20=prices[20])
+            for ap in [price(market, N) for N in (10, 15, 20)]:
+                row.append(ap.price)
+                res[f"lns{ap.N}"] = ap.price
+                diagnostics += _records(ap, case=idx)
             if ns.with_mc:
                 est = price_cv(market, mc_cfg)
                 row += [est.ci95[0], est.ci95[1]]
@@ -222,8 +218,8 @@ def cmd_bench(ns, stdout, stderr) -> int:
                 row += [ms]
                 res["ms"] = ms
         except NumericalError as exc:
-            diagnostics.append(f"case {idx} failed in module "
-                               f"{exc.module or 'unknown'}: {exc}")
+            diagnostics.append({"case": idx, "code": "failed", "stage": exc.module or "unknown",
+                                "value": None, "threshold": None, "message": str(exc)})
             row += [float("nan")] * (len(columns) - len(row))
             res["error"] = str(exc)
         rows.append(tuple(row))
@@ -248,14 +244,10 @@ def cmd_density(ns, stdout, stderr) -> int:
         market = benchmark_cases()[ns.case - 1]
     else:
         market = _market_from(ns)
-    _warn_tau(market, stderr)
 
-    diagnostics = []
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        approx = price(market, ns.N)
-        approx4 = price(market, 4) if ns.N != 4 else approx
-    diagnostics.extend(str(w.message) for w in wlist)
+    approx = price(market, ns.N)
+    approx4 = price(market, 4) if ns.N != 4 else approx
+    diagnostics = _records(approx) + (_records(approx4) if ns.N != 4 else [])
 
     w = approx.weight
     z = float(ndtri(0.5 + 0.5 * _GRID_MASS))
@@ -309,16 +301,13 @@ def cmd_errbound(ns, stdout, stderr) -> int:
     diagnostics, rows, results = [], [], []
     for sg in sigmas:
         mkt = MarketParams(r=market.r, sigma=sg, T=market.T, S0=market.S0, K=market.K)
-        if mkt.tau_warning:
-            diagnostics.append(f"sigma={sg}: tau={mkt.tau:.2f} > 0.5")
-        with warnings.catch_warnings(record=True) as wlist:
-            warnings.simplefilter("always")
-            approx = price(mkt, ns.N)
-        diagnostics.extend(f"sigma={sg}: {w.message}" for w in wlist)
+        approx = price(mkt, ns.N)
+        diagnostics += _records(approx, sigma=sg)
         try:
             norm_est = likelihood_norm_sq(mkt.normalized(), mc_cfg, approx.weight)
         except ValidationError as exc:
-            diagnostics.append(f"sigma={sg}: {exc}; likelihood norm skipped")
+            diagnostics.append({"sigma": sg, "N": ns.N, "code": "norm_skipped", "stage": "mc",
+                                "value": None, "threshold": None, "message": str(exc)})
             norm_est = None
         est = price_cv(mkt, mc_cfg)
         sre, _ = squared_relative_error(est, approx.price)

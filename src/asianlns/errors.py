@@ -1,8 +1,8 @@
-"""Exception and warning types shared across the library.
+"""Exception types shared across the library.
 
 Every numerical failure carries the name of the module that produced it so
 front ends (CLI, services) can report the failing stage without parsing
-messages.
+messages.  What does not stop a computation is a coded record on its result.
 """
 
 from __future__ import annotations
@@ -35,10 +35,3 @@ class MomentOverflowError(NumericalError):
     degrees or high volatility.
     """
 
-
-class ConditioningWarning(UserWarning):
-    """The requested computation is close to the double-precision limit.
-
-    Results are still returned; high-order coefficients may carry rounding
-    noise at the warned-about scale.
-    """

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ValidationError
-from .model import MarketParams, mean_average
+from .model import MarketParams, _geo_law, geometric_price_closed_form, mean_average
 from .basis import WeightParams, weight_density
 from .pricer import SeriesApproximation
 
@@ -185,29 +185,6 @@ def simulate(market: MarketParams, config: McConfig, stream: int = 0) -> PathBat
                      average=np.concatenate([p.average for p in parts]),
                      geo_average=np.concatenate([p.geo_average for p in parts]),
                      brownian=np.concatenate([p.brownian for p in parts]))
-
-
-def _geo_law(market: MarketParams) -> tuple:
-    """Mean and standard deviation of log Q_T, which is normal:
-    log S0 + (r - sigma^2/2) T / 2 and sigma sqrt(T / 3)."""
-    return (math.log(market.S0) + 0.5 * (market.r - 0.5 * market.sigma**2) * market.T,
-            market.sigma * math.sqrt(market.T / 3.0))
-
-
-def geometric_price_closed_form(market: MarketParams) -> float:
-    """Exact price of the continuously sampled geometric-average call.
-
-    log Q_T is normal (``_geo_law``), so the price is a Black-Scholes-type
-    expression.  K = 0 short-circuits to the discounted mean of Q_T.
-    """
-    m, s = _geo_law(market)
-    disc = math.exp(-market.r * market.T)
-    fwd = math.exp(m + 0.5 * s * s)
-    if market.K == 0.0:
-        return disc * fwd
-    d1 = (m + s * s - math.log(market.K)) / s
-    d2 = (m - math.log(market.K)) / s
-    return disc * (fwd * ndtr(d1) - market.K * ndtr(d2))
 
 
 def _merge_stats(nA, meanA, m2A, nB, meanB, m2B):

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import ndtr
 
 from .errors import MomentOverflowError, ValidationError
 
@@ -69,11 +70,6 @@ class MarketParams:
     def tau(self) -> float:
         """Regime parameter sigma^2 * T; the series is recommended for tau <= 0.5."""
         return self.sigma**2 * self.T
-
-    @property
-    def tau_warning(self) -> bool:
-        """True when tau exceeds the recommended rule-of-thumb threshold."""
-        return self.tau > TAU_RULE_OF_THUMB
 
     def normalized(self) -> "MarketParams":
         """Equivalent problem with the initial price scaled to one."""
@@ -167,3 +163,27 @@ def moments(params: MarketParams, N: int, kind: str = "raw",
 def mean_average(params: MarketParams) -> float:
     """E[A_T] for the given market (in units of S0)."""
     return float(moments(params, 1, kind="raw").values[1]) * params.S0
+
+
+def _geo_law(market: MarketParams) -> tuple:
+    """Mean and standard deviation of log Q_T, which is normal:
+    log S0 + (r - sigma^2/2) T / 2 and sigma sqrt(T / 3)."""
+    return (math.log(market.S0) + 0.5 * (market.r - 0.5 * market.sigma**2) * market.T,
+            market.sigma * math.sqrt(market.T / 3.0))
+
+
+def geometric_price_closed_form(market: MarketParams) -> float:
+    """Exact price of the continuously sampled geometric-average call, a
+    lower bound on the arithmetic one (A_T >= Q_T pathwise).
+
+    log Q_T is normal (``_geo_law``), so the price is a Black-Scholes-type
+    expression.  K = 0 short-circuits to the discounted mean of Q_T.
+    """
+    m, s = _geo_law(market)
+    disc = math.exp(-market.r * market.T)
+    fwd = math.exp(m + 0.5 * s * s)
+    if market.K == 0.0:
+        return disc * fwd
+    d1 = (m + s * s - math.log(market.K)) / s
+    d2 = (m - math.log(market.K)) / s
+    return disc * (fwd * ndtr(d1) - market.K * ndtr(d2))

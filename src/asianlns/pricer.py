@@ -11,7 +11,6 @@ lives on the scale of A_T / S0.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -19,9 +18,11 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .basis import OrthonormalBasis, WeightParams, default_weight, orthonormal_basis, weight_density
-from .errors import ConditioningWarning, ValidationError
-from .model import MarketParams, MomentVector, moments
+from .basis import (CLOSED_FORM_ETA_MAX, OrthonormalBasis, WeightParams, default_weight,
+                    orthonormal_basis, weight_density)
+from .errors import ValidationError
+from .model import (TAU_RULE_OF_THUMB, MarketParams, MomentVector, geometric_price_closed_form,
+                    moments)
 
 MAX_ORDER = 40
 DEFAULT_ORDER = 20
@@ -128,6 +129,13 @@ class SeriesApproximation:
     computed.  ``eps_payoff`` is the squared projection distance
     ||F||_w^2 - sum f_n^2 (currency^2); for a zero strike it is identically
     zero from degree one on and is stored as exact zero.
+
+    ``diagnostics`` says how far to trust the price, as records {"code",
+    "stage", "value", "threshold"}: ``truncated`` (basis; eta of the first
+    dropped degree against ``CLOSED_FORM_ETA_MAX``), ``tau_above_rule``
+    (model; tau against 0.5), and ``below_intrinsic``, ``below_geometric``
+    and ``above_forward`` (pricer; the price against disc S0 (m1 - K/S0)^+,
+    the geometric-average call and disc S0 m1, missed by over 1e-8 S0).
     """
 
     N: int
@@ -139,7 +147,7 @@ class SeriesApproximation:
     weight: WeightParams
     market: MarketParams
     basis: OrthonormalBasis = field(repr=False)
-    diagnostics: dict = field(repr=False, default_factory=dict)
+    diagnostics: tuple = field(repr=False, default=())
 
     def partial_prices(self) -> np.ndarray:
         """Prices of every truncation 0..N (cumulative partial sums)."""
@@ -183,7 +191,7 @@ def price(market: MarketParams, N: int = DEFAULT_ORDER,
     that nu^2 = sigma^2 T / 2 + 1e-4 and the weight matches the first
     moment of the normalized average, which makes ell_1 vanish.  A supplied
     weight must refer to the normalized average and satisfy
-    nu^2 > sigma^2 T / 2.
+    nu^2 > sigma^2 T / 2.  Every call builds ``diagnostics`` afresh.
     """
     if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 0:
         raise ValidationError(f"order N must be a non-negative integer, got {N!r}",
@@ -192,13 +200,10 @@ def price(market: MarketParams, N: int = DEFAULT_ORDER,
     if N > MAX_ORDER:
         raise ValidationError(f"order N={N} exceeds the supported maximum {MAX_ORDER}",
                               module="pricer")
-    if N > DEFAULT_ORDER:
-        warnings.warn(f"order N={N} > {DEFAULT_ORDER}: rounding errors typically "
-                      "dominate the added terms", ConditioningWarning, stacklevel=2)
 
     normalized = market.normalized()
+    m1 = float(moments(normalized, 1, kind="raw").values[1])
     if weight is None:
-        m1 = float(moments(normalized, 1, kind="raw").values[1])
         weight = default_weight(normalized, m1)
     elif not weight.admissible_for(normalized):
         raise ValidationError(
@@ -217,15 +222,33 @@ def price(market: MarketParams, N: int = DEFAULT_ORDER,
     else:
         eps_payoff = float(norm_sq - f @ f)
 
-    diagnostics = {
-        "jitter": basis.jitter,
-        "resolvable_degree": basis.resolvable_degree,
-        "tau": market.tau,
-        "tau_warning": market.tau_warning,
-    }
     return SeriesApproximation(N=N, f=f, ell=ell, price=pi, payoff_norm_sq=norm_sq,
                                eps_payoff=eps_payoff, weight=weight, market=market,
-                               basis=basis, diagnostics=diagnostics)
+                               basis=basis, diagnostics=_diagnostics(market, basis, m1, pi))
+
+
+def _record(code: str, stage: str, value: float, threshold: float) -> dict:
+    return {"code": code, "stage": stage, "value": float(value), "threshold": float(threshold)}
+
+
+def _diagnostics(market: MarketParams, basis: OrthonormalBasis, m1: float, pi: float) -> tuple:
+    """The records of ``SeriesApproximation.diagnostics``; m1 is the mean of
+    the normalized average."""
+    records = []
+    R = basis.resolvable_degree
+    if R < basis.N:
+        records.append(_record("truncated", "basis", basis.eta[R + 1], CLOSED_FORM_ETA_MAX))
+    if market.tau > TAU_RULE_OF_THUMB:
+        records.append(_record("tau_above_rule", "model", market.tau, TAU_RULE_OF_THUMB))
+    disc_s0 = math.exp(-market.r * market.T) * market.S0
+    tol = 1e-8 * market.S0
+    for code, bound in (("below_intrinsic", disc_s0 * max(m1 - market.K / market.S0, 0.0)),
+                        ("below_geometric", geometric_price_closed_form(market))):
+        if pi < bound - tol:
+            records.append(_record(code, "pricer", pi, bound))
+    if pi > disc_s0 * m1 + tol:
+        records.append(_record("above_forward", "pricer", pi, disc_s0 * m1))
+    return tuple(records)
 
 
 def clear_kernel_cache() -> None:

@@ -7,12 +7,11 @@ criterion.  The Monte-Carlo criteria use the fixed verification budget
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
 
-from asianlns import (ConditioningWarning, MarketParams, WeightParams,
+from asianlns import (MarketParams, WeightParams,
                       benchmark_cases, geo_average_density, likelihood_norm_sq,
                       moments, orthonormal_basis, price, price_cv, density_cv,
                       reference_case, simulate, squared_relative_error)
@@ -21,9 +20,6 @@ from asianlns.pricer import clear_kernel_cache
 from oracles import mp_cbar, rk4_moments
 
 MC = McConfig(paths=200_000, dt=1e-3, seed=42)
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::asianlns.errors.ConditioningWarning")
 
 
 def _report(name):
@@ -189,9 +185,7 @@ def sweep():
     rows = {}
     for sg in SWEEP_SIGMAS:
         mkt = MarketParams(r=0.05, sigma=sg, T=1.0, S0=2.0, K=2.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            ap = price(mkt, 20)
+        ap = price(mkt, 20)
         est = likelihood_norm_sq(mkt.normalized(), MC, ap.weight)
         eps_ell = est.value - float(ap.ell @ ap.ell)
         rows[sg] = (ap, est, eps_ell)

@@ -1,15 +1,14 @@
 """Tests for the weight, Gram matrices and orthonormal basis construction."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import lognorm
 
-from asianlns import (ConditioningWarning, MarketParams, NumericalError,
-                      ValidationError, WeightParams, default_weight, gram, moments,
-                      orthonormal_basis, weight_density)
+from asianlns import (MarketParams, NumericalError, ValidationError, WeightParams,
+                      default_weight, gram, moments, orthonormal_basis, weight_density)
+from asianlns.basis import CLOSED_FORM_ETA_MAX
 
 from oracles import gauss_hermite_gram, mp_cbar, quad_weighted
 
@@ -165,9 +164,7 @@ class TestOrthonormalBasis:
     def _assert_matches_oracle(w, N):
         # cbar against the inverse of a 90-digit Cholesky factor of Mbar,
         # entrywise on the kept block
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            b = orthonormal_basis(w, N)
+        b = orthonormal_basis(w, N)
         m = b.resolvable_degree + 1
         want = mp_cbar(w.nu2, N)[:m, :m]
         np.testing.assert_allclose(b.cbar[:m, :m], want, rtol=1e-12, atol=0.0)
@@ -179,6 +176,10 @@ class TestOrthonormalBasis:
         # on every degree it keeps, and keeps at least degrees 0..8
         b = self._assert_matches_oracle(_w(nu2), 10)
         assert b.resolvable_degree >= 8
+        # the kept degrees are those whose rounding estimate is in bounds
+        R = b.resolvable_degree
+        assert b.eta.shape == (11,) and b.eta[:R + 1].max() <= CLOSED_FORM_ETA_MAX
+        assert R == 10 or b.eta[R + 1] > CLOSED_FORM_ETA_MAX
 
     def test_spec_example_agreement(self):
         # mu=0, nu=0.5, N=6: every degree kept, entrywise agreement

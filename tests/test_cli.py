@@ -43,10 +43,10 @@ class TestPriceCommand:
         want = math.exp(-0.05) * math.expm1(0.05) / 0.05
         assert doc["results"][0]["price"] == pytest.approx(want, rel=1e-12)
 
-    def test_tau_warning_on_stderr(self):
+    def test_tau_record_on_stderr(self):
         code, _, err = run_cli(["price", "--sigma", "1", "--T", "1", "--r", ".05"])
         assert code == 0
-        assert "tau=1.00 > 0.5" in err
+        assert "# N=20 code=tau_above_rule stage=model value=1.0 threshold=0.5\n" in err
 
     def test_config_echo_includes_weight(self):
         code, out, _ = run_cli(["price", "--r", ".02", "--sigma", ".1", "--T", "1",
@@ -243,8 +243,59 @@ class TestErrboundCommand:
         assert "tau=" not in rows[0]
         assert header == ["sigma", "N", "price", "eps_F", "eps_ell", "eps_ell_se",
                           "bound", "bound_hi", "mc_price", "mc_se", "sqrt_sre"]
-        # sigma=0.8 exceeds the recommended regime: diagnostic on stderr
-        assert "tau=0.64" in err
+        # sigma=0.8 exceeds the recommended regime: its record on stderr
+        assert ("# sigma=0.8 N=20 code=tau_above_rule stage=model "
+                "value=0.6400000000000001 threshold=0.5\n") in err
+        assert "sigma=0.3" not in err
+
+
+class TestDiagnosticRecords:
+    @pytest.mark.parametrize("argv", [
+        ["price", "--r", ".02", "--sigma", ".1", "--T", "1", "--N", "5,20"],
+        ["bench"],
+        ["density", "--case", "1", "--N", "20", "--grid-points", "5"],
+        ["errbound", "--sigma-grid", "0.1,0.8", "--paths", "4096", "--dt", "1e-2"],
+    ])
+    def test_json_diagnostics_are_records(self, argv):
+        code, out, _ = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics  # each run holds a truncated or tau_above_rule price
+        for rec in diagnostics:
+            assert {"code", "stage", "value", "threshold"} <= set(rec)
+
+    def test_bench_failure_record(self, monkeypatch):
+        import asianlns.cli as cli
+        from asianlns import NumericalError
+        case3, real_price = cli.benchmark_cases()[2], cli.price
+
+        def failing_price(market, N):
+            if market == case3:
+                raise NumericalError("boom", module="basis")
+            return real_price(market, N)
+
+        monkeypatch.setattr(cli, "price", failing_price)
+        code, out, _ = run_cli(["bench", "--format", "json"])
+        assert code == 0
+        failed = [rec for rec in json.loads(out)["diagnostics"] if rec["code"] == "failed"]
+        assert failed == [{"case": 3, "code": "failed", "stage": "basis", "value": None,
+                           "threshold": None, "message": "boom"}]
+
+    def test_norm_skipped_record(self, monkeypatch):
+        import asianlns.cli as cli
+        from asianlns import ValidationError
+
+        def refuse(*args, **kwargs):
+            raise ValidationError("no norm", module="mc")
+
+        monkeypatch.setattr(cli, "likelihood_norm_sq", refuse)
+        code, out, err = run_cli(["errbound", "--sigma", ".3", "--paths", "4096",
+                                  "--dt", "1e-2", "--format", "csv"])
+        assert code == 0
+        assert ("# sigma=0.3 N=20 code=norm_skipped stage=mc value=None "
+                "threshold=None message=no norm\n") in err
+        header, rows = parse_csv(out)
+        assert math.isnan(float(rows[0][header.index("bound")]))
 
 
 class TestEntryPoints:

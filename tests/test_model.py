@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asianlns import (MarketParams, MomentOverflowError, ValidationError,
-                      mean_average, moments)
+                      mean_average, moments, price)
 from asianlns.basis import default_weight
 
 from oracles import rk4_moments
@@ -18,7 +18,6 @@ class TestMarketParams:
     def test_valid_construction(self):
         m = MarketParams(r=0.05, sigma=0.3, T=2.0, S0=100.0, K=95.0)
         assert m.tau == pytest.approx(0.18)
-        assert not m.tau_warning
 
     @pytest.mark.parametrize("kwargs", [
         dict(r=0.05, sigma=0.0, T=1.0, S0=1.0, K=1.0),
@@ -39,9 +38,12 @@ class TestMarketParams:
     def test_zero_strike_allowed(self):
         MarketParams(r=0.0, sigma=0.2, T=1.0, S0=1.0, K=0.0)
 
-    def test_tau_warning_flag(self):
-        assert MarketParams(r=0.0, sigma=1.0, T=1.0, S0=1.0, K=1.0).tau_warning
-        assert not MarketParams(r=0.0, sigma=1.0, T=0.5, S0=1.0, K=1.0).tau_warning
+    def test_tau_above_rule_record(self):
+        ap = price(MarketParams(r=0.0, sigma=1.0, T=1.0, S0=1.0, K=1.0), 5)
+        assert {"code": "tau_above_rule", "stage": "model", "value": 1.0,
+                "threshold": 0.5} in ap.diagnostics
+        ap = price(MarketParams(r=0.0, sigma=1.0, T=0.5, S0=1.0, K=1.0), 5)
+        assert all(rec["code"] != "tau_above_rule" for rec in ap.diagnostics)
 
     def test_normalized(self):
         m = MarketParams(r=0.02, sigma=0.1, T=1.0, S0=2.0, K=3.0)

@@ -5,13 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
-from asianlns import (ConditioningWarning, MarketParams, ValidationError,
-                      WeightParams, default_weight, likelihood_coefficients, moments, payoff_coefficients,
+from asianlns import (MarketParams, ValidationError, WeightParams,
+                      default_weight, likelihood_coefficients, moments, payoff_coefficients,
                       orthonormal_basis, payoff_norm_sq, price,
                       scaled_payoff_projections, weight_density)
+from asianlns.basis import CLOSED_FORM_ETA_MAX
 from asianlns.pricer import _d_values, clear_kernel_cache
 
 from oracles import quad_payoff_moment, quad_payoff_norm_sq
@@ -221,14 +224,17 @@ class TestPrice:
         with pytest.raises(ValidationError):
             price(m, 8, weight=WeightParams(mu=0.0, nu=0.3))  # nu^2 < 0.125
 
-    def test_order_validation_and_warning(self):
+    def test_order_validation_and_truncation_record(self):
         m = MarketParams(r=0.05, sigma=0.3, T=1.0, S0=1.0, K=1.0)
         with pytest.raises(ValidationError):
             price(m, 41)
         with pytest.raises(ValidationError):
             price(m, -1)
-        with pytest.warns(ConditioningWarning):
-            price(m, 25)
+        # above N = 20 the rounding estimate, not the order, decides: here it
+        # drops the top degrees and the result says so
+        ap = price(m, 25)
+        assert ap.basis.resolvable_degree < 25
+        assert [rec["code"] for rec in ap.diagnostics] == ["truncated"]
 
     @pytest.mark.parametrize("N", [10, 15, 20])
     def test_truncated_above_resolvable_degree_for_tiny_nu(self, cases, N):
@@ -236,19 +242,19 @@ class TestPrice:
         # 9 exceeds CLOSED_FORM_ETA_MAX, so those rows of the basis are zero
         # and the price is the 60-digit value of the 9-term series at every N
         clear_kernel_cache()
-        with pytest.warns(ConditioningWarning, match="dropped"):
-            ap = price(cases[1], N)
+        ap = price(cases[1], N)
         assert ap.basis.resolvable_degree == 9
-        assert ap.diagnostics["resolvable_degree"] == 9
+        assert ap.diagnostics == ({"code": "truncated", "stage": "basis",
+                                   "value": ap.basis.eta[10],
+                                   "threshold": CLOSED_FORM_ETA_MAX},)
+        assert ap.basis.eta[10] > CLOSED_FORM_ETA_MAX
         assert np.all(ap.basis.cbar[10:] == 0.0)
         assert abs(ap.price - 0.0559960648) < 1e-7
 
     def test_convergence_diagnostic_reads_resolved_degree(self, cases):
         # case 1 at N = 20 keeps degrees 0..9: the term at N is an exact zero,
         # so the diagnostic must read the last resolved term |f_9 ell_9|
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            ap = price(cases[1], 20)
+        ap = price(cases[1], 20)
         assert ap.f[20] * ap.ell[20] == 0.0
         assert ap.convergence_diagnostic() == abs(float(ap.f[9] * ap.ell[9])) > 0.0
 
@@ -256,9 +262,10 @@ class TestPrice:
         # nu^2 N^2 = 800: the largest entries of Mbar overflow, but the
         # log-domain basis keeps every degree (60-digit value of the series)
         m = MarketParams(r=0.05, sigma=1.0, T=1.0, S0=1.0, K=1.0)
-        with pytest.warns(ConditioningWarning):
-            ap = price(m, 40)
-        assert ap.diagnostics["resolvable_degree"] == 40
+        ap = price(m, 40)
+        assert ap.basis.resolvable_degree == 40
+        # tau = 1 is above the rule of thumb; nothing else is flagged
+        assert [rec["code"] for rec in ap.diagnostics] == ["tau_above_rule"]
         assert abs(ap.price - 0.2494104739) < 1e-9
 
     def test_price_independent_of_lapack_breakdown(self, cases, monkeypatch):
@@ -273,7 +280,7 @@ class TestPrice:
         try:
             ap = price(cases[3], 20)
             assert orthonormal_basis(ap.weight, 20).jitter == 0.0
-            assert ap.diagnostics["jitter"] == 0.0
+            assert ap.diagnostics == ()
             assert abs(ap.price - 0.1722547) < 1e-6
         finally:
             clear_kernel_cache()
@@ -309,9 +316,7 @@ class TestDensityApprox:
         assert self._quad_mass(price(cases[3], 20)) == pytest.approx(1.0, abs=3e-6)
 
     def test_can_go_negative_in_tails(self, cases):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            ap = price(cases[1], 20)
+        ap = price(cases[1], 20)
         w = ap.weight
         x = np.linspace(math.exp(w.mu - 5 * w.nu), math.exp(w.mu + 5 * w.nu), 400)
         assert ap.density()(x).min() < 0.0  # documented, not an error
@@ -336,3 +341,77 @@ class TestDensityApprox:
         ap = price(cases[3], 4)
         with pytest.raises(ValidationError):
             ap.density()(0.0)
+
+
+def _geometric_call(r, sigma, T, K):
+    """Geometric-average call at S0 = 1: log Q_T is normal with mean
+    (r - sigma^2/2) T / 2 and variance sigma^2 T / 3."""
+    m, s = 0.5 * (r - 0.5 * sigma**2) * T, sigma * math.sqrt(T / 3.0)
+    fwd = math.exp(m + 0.5 * s * s)
+    if K == 0.0:
+        return math.exp(-r * T) * fwd
+
+    def Phi(z):
+        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+    d = (m - math.log(K)) / s
+    return math.exp(-r * T) * (fwd * Phi(d + s) - K * Phi(d))
+
+
+class TestDiagnostics:
+    def test_truncated_on_every_call(self, cases):
+        # the second call takes its basis from the kernel cache; the record
+        # must not depend on that
+        clear_kernel_cache()
+        for _ in range(2):
+            recs = [rec for rec in price(cases[1], 20).diagnostics
+                    if rec["code"] == "truncated"]
+            assert len(recs) == 1 and recs[0]["value"] > 1e-5
+
+    @pytest.mark.parametrize("market,N,intrinsic", [
+        (MarketParams(r=0.0, sigma=0.32, T=1.34, S0=1.0, K=0.55), 5, 0.45),
+        (MarketParams(r=0.025, sigma=1.4, T=0.21, S0=1.0, K=0.32), 20, 0.679055),
+    ])
+    def test_below_intrinsic_flagged(self, market, N, intrinsic):
+        ap = price(market, N)
+        recs = [rec for rec in ap.diagnostics if rec["code"] == "below_intrinsic"]
+        assert len(recs) == 1
+        assert recs[0]["stage"] == "pricer" and recs[0]["value"] == ap.price
+        assert recs[0]["threshold"] == pytest.approx(intrinsic, abs=1e-6)
+        assert ap.price < intrinsic - 1e-4
+
+    def test_no_warning_channel(self, cases):
+        clear_kernel_cache()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for market in cases.values():
+                for N in (5, 10, 15, 20, 40):
+                    price(market, N)
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(r=st.one_of(st.just(0.0), st.floats(-0.05, 0.25)),
+           log_T=st.floats(math.log(1e-3), math.log(5.0)),
+           log_tau=st.floats(math.log(1e-4), math.log(1.5)),
+           K=st.one_of(st.just(0.0), st.floats(-1.5, 1.5).map(math.exp)),
+           N=st.sampled_from([5, 10, 15, 20]))
+    def test_bounds_hold_or_are_flagged(self, r, log_T, log_tau, K, N):
+        # S0 = 1; each no-arbitrage bound holds to 1e-8 or its code is
+        # present, and no code is present where its bound holds
+        T = math.exp(log_T)
+        sigma = math.sqrt(math.exp(log_tau) / T)
+        ap = price(MarketParams(r=r, sigma=sigma, T=T, S0=1.0, K=K), N)
+        assert math.isfinite(ap.price)
+        assert all(set(rec) == {"code", "stage", "value", "threshold"}
+                   for rec in ap.diagnostics)
+        codes = [rec["code"] for rec in ap.diagnostics]
+        assert len(codes) == len(set(codes))
+        rT = r * T
+        m1 = math.expm1(rT) / rT if rT != 0.0 else 1.0
+        disc = math.exp(-rT)
+        misses = {"below_intrinsic": disc * max(m1 - K, 0.0) - ap.price,
+                  "below_geometric": _geometric_call(r, sigma, T, K) - ap.price,
+                  "above_forward": ap.price - disc * m1}
+        for code, miss in misses.items():
+            assert (miss > 1e-8) == (code in codes), (code, miss)
+        assert ("tau_above_rule" in codes) == (sigma**2 * T > 0.5)
+        assert ("truncated" in codes) == (ap.basis.resolvable_degree < N)
