@@ -13,26 +13,26 @@ __version__ = "0.1.0"
 from .errors import AsianLnsError, MomentOverflowError, NumericalError, ValidationError
 from .model import (MarketParams, MomentVector, geometric_price_closed_form, mean_average,
                     moments)
-from .basis import (OrthonormalBasis, WeightParams, default_weight, gram,
-                    orthonormal_basis, weight_density)
+from .basis import (OrthonormalBasis, WeightParams, default_weight, orthonormal_basis,
+                    weight_density)
 from .pricer import (DensityApproximant, SeriesApproximation, likelihood_coefficients,
                      payoff_coefficients, payoff_norm_sq, price, scaled_payoff_projections)
 from .mc import (DensityGridEstimate, ErrorBound, McConfig, McEstimate, PathBatch,
                  density_cv, density_malliavin, error_bound, geo_average_density,
                  iter_path_batches, likelihood_norm_sq, price_cv, simulate,
-                 squared_relative_error, tail_envelope_diagnostic)
+                 squared_relative_error)
 from .benchmarks import benchmark_cases, reference_case, reference_data
 
 __all__ = [
     "AsianLnsError", "MomentOverflowError", "NumericalError", "ValidationError",
     "MarketParams", "MomentVector", "mean_average", "moments",
-    "OrthonormalBasis", "WeightParams", "default_weight", "gram",
-    "orthonormal_basis", "weight_density",
+    "OrthonormalBasis", "WeightParams", "default_weight", "orthonormal_basis",
+    "weight_density",
     "DensityApproximant", "SeriesApproximation", "likelihood_coefficients",
     "payoff_coefficients", "payoff_norm_sq", "price", "scaled_payoff_projections",
     "DensityGridEstimate", "ErrorBound", "McConfig", "McEstimate", "PathBatch",
     "density_cv", "density_malliavin", "error_bound", "geo_average_density",
     "geometric_price_closed_form", "iter_path_batches", "likelihood_norm_sq",
-    "price_cv", "simulate", "squared_relative_error", "tail_envelope_diagnostic",
+    "price_cv", "simulate", "squared_relative_error",
     "benchmark_cases", "reference_case", "reference_data",
 ]

@@ -1,4 +1,4 @@
-"""Log-normal weight, scaled Gram matrix and the orthonormal polynomial basis.
+"""Log-normal weight and its orthonormal polynomial basis, in closed form.
 
 The approximation space is L^2 of a log-normal weight w with parameters
 (mu, nu).  Orthonormalizing the monomials against w only needs the weight's
@@ -20,7 +20,13 @@ The basis coefficients cbar = D^{-1/2} B^{-1} are closed form as well,
     cbar_nk = (-1)^{n-k} q^{(n-k)(n-k-1)/2 - n(n-1)/4} sqrt(F_n) / (F_k F_{n-k}),
 
 and are built from log F_j = sum_{m<=j} log expm1(m nu^2), so no entry
-overflows at large nu^2 or N and no matrix is factorized.
+overflows at large nu^2 or N and Mbar is neither formed nor factorized
+(only ``OrthonormalBasis.gram_identity_error`` forms it, as a check).
+
+A weighted scaled monomial is itself a log-normal density:
+w(x) u_k(x) = LN(x; mu + k nu^2, nu).  So a series w sum_n a_n b_n is the
+signed log-normal mixture sum_k c_k LN(x; mu + k nu^2, nu) with
+c = cbar^T a, which is how the pricer evaluates its density.
 
 The alternating signs still cancel when a coefficient <h, b_n> is formed.
 The per-row rounding estimate eta_n = u sum_k |cbar_nk| sqrt(Mbar_kk) (u the
@@ -35,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -104,23 +109,6 @@ def weight_density(weight: WeightParams, x) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * weight.nu * x)
 
 
-def gram(weight: WeightParams, N: int) -> np.ndarray:
-    """The (N+1) x (N+1) scaled Gram matrix Mbar_ij = exp(i j nu^2).
-
-    It is the Gram matrix of the scaled monomials u_k = x^k / s_k; the raw
-    moment matrix of the monomials is S Mbar S with S = diag(s_k).
-    """
-    N = _check_degree(N)
-    i = np.arange(N + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        entries = np.exp(np.outer(i, i) * weight.nu2)
-    if not np.all(np.isfinite(entries)):
-        raise NumericalError(
-            f"gram matrix entries overflow for N={N}, nu^2={weight.nu2:.4g}",
-            module="basis")
-    return entries
-
-
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Degree-N orthonormal polynomial basis under a log-normal weight.
@@ -174,19 +162,6 @@ class OrthonormalBasis:
         out = self.cbar @ U
         return out.reshape((self.N + 1,) + x.shape)
 
-    def monomial_coefficients(self) -> np.ndarray:
-        """Coefficients against plain monomials (may overflow for large N nu).
-
-        Row n holds the coefficients of b_n in 1, x, ..., x^n.
-        """
-        k = np.arange(self.N + 1, dtype=float)
-        with np.errstate(over="ignore"):
-            C = self.cbar / self.weight.moment(k)[None, :]
-        if not np.all(np.isfinite(C)):
-            raise NumericalError("monomial coefficients overflow; use the scaled form",
-                                 module="basis")
-        return C
-
     def gram_identity_error(self) -> float:
         """max |cbar Mbar cbar^T - I|, the orthonormality defect.
 
@@ -199,28 +174,6 @@ class OrthonormalBasis:
         Mbar = np.exp(np.outer(k, k) * self.weight.nu2)
         C = self.cbar.astype(np.longdouble)
         return float(np.max(np.abs(C @ Mbar @ C.T - np.eye(self.N + 1))))
-
-
-@lru_cache(maxsize=64)
-def _closed_form_indices(N: int):
-    """Degree-only arrays of the closed-form coefficients, shared and read-only.
-
-    Returns n, the lag n - k (0 above the diagonal), the sign (-1)^{n-k}
-    and cbar's q-exponent (n-k)(n-k-1)/2 - n(n-1)/4, which is -inf above
-    the diagonal so that those entries come out as exact zeros.  Building
-    them costs about as much as the coefficients themselves.
-    """
-    n = np.arange(N + 1, dtype=float)
-    lag = np.subtract.outer(np.arange(N + 1), np.arange(N + 1))
-    lower = lag >= 0
-    lag[~lower] = 0
-    sign = 1.0 - 2.0 * (lag % 2)
-    expo = np.where(lower, 0.5 * lag * (lag - 1.0) - 0.25 * n[:, None] * (n[:, None] - 1.0),
-                    -np.inf)
-    arrays = (n, lag, sign, expo)
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 def orthonormal_basis(weight: WeightParams, N: int) -> OrthonormalBasis:
@@ -245,7 +198,14 @@ def orthonormal_basis(weight: WeightParams, N: int) -> OrthonormalBasis:
     """
     N = _check_degree(N)
     nu2 = weight.nu2
-    n, lag, sign, expo = _closed_form_indices(N)
+    n = np.arange(N + 1, dtype=float)
+    # the lag n - k is 0 above the diagonal, where cbar's q-exponent
+    # (n-k)(n-k-1)/2 - n(n-1)/4 is -inf so that those entries are exact zeros
+    lag = np.subtract.outer(np.arange(N + 1), np.arange(N + 1))
+    lower = lag >= 0
+    lag[~lower] = 0
+    expo = np.where(lower, 0.5 * lag * (lag - 1.0) - 0.25 * n[:, None] * (n[:, None] - 1.0),
+                    -np.inf)
     log_F = np.zeros(N + 1)
     # log expm1(x) = x + log(1 - e^{-x}), finite for every x > 0
     np.cumsum(nu2 * n[1:] + np.log(-np.expm1(-nu2 * n[1:])), out=log_F[1:])
@@ -255,7 +215,7 @@ def orthonormal_basis(weight: WeightParams, N: int) -> OrthonormalBasis:
     dropped = np.flatnonzero(eta > CLOSED_FORM_ETA_MAX)
     resolvable = int(dropped[0]) - 1 if dropped.size else N
 
-    cbar = sign * np.exp(log_abs)
+    cbar = (1.0 - 2.0 * (lag % 2)) * np.exp(log_abs)
     lead = np.diagonal(cbar)[:resolvable + 1]
     if not lead.all():
         raise NumericalError(

@@ -45,14 +45,10 @@ _FLOAT_FMT = "%.17g"
 _GRID_MASS = 0.99999  # central weight mass covered by the default density grid
 
 
-def _market_args(p: argparse.ArgumentParser, defaults=True) -> None:
-    req = not defaults
-    p.add_argument("--r", type=float, required=req, default=0.05 if defaults else None,
-                   help="short rate per year")
-    p.add_argument("--sigma", type=float, required=req,
-                   default=0.25 if defaults else None, help="volatility per sqrt(year)")
-    p.add_argument("--T", type=float, required=req, default=1.0 if defaults else None,
-                   help="expiry in years")
+def _market_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--r", type=float, default=0.05, help="short rate per year")
+    p.add_argument("--sigma", type=float, default=0.25, help="volatility per sqrt(year)")
+    p.add_argument("--T", type=float, default=1.0, help="expiry in years")
     p.add_argument("--S0", type=float, default=1.0, help="initial stock price")
     p.add_argument("--K", type=float, default=1.0, help="strike (0 allowed)")
 
@@ -115,14 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_orders(spec: str):
+def _parse_list(spec: str, convert, what: str) -> list:
+    """Comma-separated values, empty tokens skipped; ValidationError on a
+    malformed token or an empty list."""
     try:
-        orders = [int(tok) for tok in str(spec).split(",") if tok.strip() != ""]
+        values = [convert(tok) for tok in str(spec).split(",") if tok.strip() != ""]
     except ValueError:
-        raise ValidationError(f"could not parse order list {spec!r}", module="cli")
-    if not orders:
-        raise ValidationError("empty order list", module="cli")
-    return orders
+        raise ValidationError(f"could not parse {what} {spec!r}", module="cli")
+    if not values:
+        raise ValidationError(f"empty {what}", module="cli")
+    return values
 
 
 def _market_from(ns) -> MarketParams:
@@ -165,7 +163,7 @@ def _records(approx, **context) -> list:
 
 def cmd_price(ns, stdout, stderr) -> int:
     market = _market_from(ns)
-    orders = _parse_orders(ns.N)
+    orders = _parse_list(ns.N, int, "order list")
     config = {"command": "price", "r": market.r, "sigma": market.sigma, "T": market.T,
               "S0": market.S0, "K": market.K, "N": ",".join(map(str, orders)),
               "format": ns.format}
@@ -285,10 +283,8 @@ def cmd_density(ns, stdout, stderr) -> int:
 
 def cmd_errbound(ns, stdout, stderr) -> int:
     market = _market_from(ns)
-    sigmas = ([float(tok) for tok in ns.sigma_grid.split(",") if tok.strip()]
-              if ns.sigma_grid else [market.sigma])
-    if not sigmas:
-        raise ValidationError("empty sigma grid", module="cli")
+    sigmas = (_parse_list(ns.sigma_grid, float, "sigma grid") if ns.sigma_grid
+              else [market.sigma])
     mc_cfg = _mc_config(ns)
 
     config = {"command": "errbound", "r": market.r, "sigma": market.sigma,
@@ -342,12 +338,11 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
 
-    out_stream = stdout
     try:
         if ns.output:
             with open(ns.output, "w", newline="") as fh:
                 return _COMMANDS[ns.command](ns, fh, stderr)
-        return _COMMANDS[ns.command](ns, out_stream, stderr)
+        return _COMMANDS[ns.command](ns, stdout, stderr)
     except ValidationError as exc:
         print(f"error (invalid input, module {exc.module or 'cli'}): {exc}",
               file=stderr)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ValidationError
 from .model import MarketParams, _geo_law, geometric_price_closed_form, mean_average
@@ -486,40 +485,3 @@ def squared_relative_error(mc_price: McEstimate, series_price: float) -> tuple:
     else:
         lo = min(lo_r**2, hi_r**2)
     return rel * rel, (lo, max(lo_r**2, hi_r**2))
-
-
-@dataclass(frozen=True)
-class TailDiagnostic:
-    """Qualitative upper-tail envelope check (diagnostic only).
-
-    The running supremum of the driving Brownian motion dominates the
-    average pathwise, giving the non-asymptotic reflection bound
-
-        P(A_T / S0 >= x) <= 2 Phibar((log x - (r - sigma^2/2)^+ T)
-                                      / (sigma sqrt(T))),
-
-    whose exponent decays like -log(x)^2 / (2 sigma^2 T); this Gaussian
-    tail is what keeps the expansion from diverging.  ``max_ratio`` is the
-    largest empirical-survival / bound ratio over the sampled tail points;
-    values at or below one (up to Monte-Carlo noise on rare events) mean
-    the sample respects the envelope.  The truly asymptotic slope is out of
-    reach at simulation scale, so this stays a diagnostic, not a proof.
-    """
-
-    max_ratio: float
-    n_points: int
-
-
-def tail_envelope_diagnostic(market: MarketParams, batch: PathBatch,
-                             lo_quantile: float = 0.99,
-                             hi_quantile: float = 0.9999) -> TailDiagnostic:
-    a = np.sort(batch.average / market.S0)
-    n = a.shape[0]
-    qs = np.linspace(lo_quantile, hi_quantile, 25)
-    idx = np.minimum((qs * n).astype(int), n - 2)
-    x = a[idx]
-    surv = 1.0 - idx / n
-    shift = max(market.r - 0.5 * market.sigma**2, 0.0) * market.T
-    bound = 2.0 * ndtr(-(np.log(x) - shift) / (market.sigma * math.sqrt(market.T)))
-    ratio = surv / bound
-    return TailDiagnostic(max_ratio=float(np.max(ratio)), n_points=len(x))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .basis import (CLOSED_FORM_ETA_MAX, OrthonormalBasis, WeightParams, default_weight,
-                    orthonormal_basis, weight_density)
+                    orthonormal_basis)
 from .errors import ValidationError
 from .model import (TAU_RULE_OF_THUMB, MarketParams, MomentVector, geometric_price_closed_form,
                     moments)
@@ -102,22 +102,25 @@ def payoff_norm_sq(market: MarketParams, weight: WeightParams) -> float:
 class DensityApproximant:
     """Truncated series density g^(N)(x) = w(x) sum_n ell_n b_n(x).
 
-    Approximates the density of the *normalized* average A_T / S0.  It
-    integrates to one because ell_0 = 1, but may go negative in the tails;
-    that is expected and not an error.
+    Approximates the density of the *normalized* average A_T / S0.  It is
+    evaluated as the signed log-normal mixture
+    sum_k coef_k LN(x; mu + k nu^2, nu) with coef = cbar^T ell (see the
+    ``basis`` module), so no term overflows in the tails.  Its mass is
+    sum_k coef_k = ell_0 = 1, but it may go negative in the tails; that is
+    expected and not an error.
     """
 
-    N: int
     weight: WeightParams
-    ell: np.ndarray = field(repr=False)
-    basis: OrthonormalBasis = field(repr=False)
+    coef: np.ndarray = field(repr=False)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0):
             raise ValidationError("density evaluation requires x > 0", module="pricer")
-        b = self.basis.evaluate(x)
-        return weight_density(self.weight, x) * np.tensordot(self.ell, b, axes=1)
+        w = self.weight
+        k = np.arange(self.coef.size, dtype=float)
+        z = (np.log(x)[..., None] - w.mu - k * w.nu2) / w.nu
+        return (np.exp(-0.5 * z * z) @ self.coef) / (math.sqrt(2.0 * math.pi) * w.nu * x)
 
 
 @dataclass(frozen=True)
@@ -149,10 +152,6 @@ class SeriesApproximation:
     basis: OrthonormalBasis = field(repr=False)
     diagnostics: tuple = field(repr=False, default=())
 
-    def partial_prices(self) -> np.ndarray:
-        """Prices of every truncation 0..N (cumulative partial sums)."""
-        return np.cumsum(self.f * self.ell)
-
     def convergence_diagnostic(self) -> float:
         """|f_R ell_R|, the last term the basis resolves (R =
         ``basis.resolvable_degree``; terms above R are exact zeros); NaN
@@ -167,8 +166,7 @@ class SeriesApproximation:
         return self.payoff_norm_sq - np.cumsum(self.f**2)
 
     def density(self) -> DensityApproximant:
-        return DensityApproximant(N=self.N, weight=self.weight, ell=self.ell,
-                                  basis=self.basis)
+        return DensityApproximant(weight=self.weight, coef=self.ell @ self.basis.cbar)
 
 
 @lru_cache(maxsize=128)

@@ -1,4 +1,4 @@
-"""Tests for the weight, Gram matrices and orthonormal basis construction."""
+"""Tests for the weight and the orthonormal basis construction."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import lognorm
 
-from asianlns import (MarketParams, NumericalError, ValidationError, WeightParams,
-                      default_weight, gram, moments, orthonormal_basis, weight_density)
+from asianlns import (MarketParams, ValidationError, WeightParams,
+                      default_weight, moments, orthonormal_basis, weight_density)
 from asianlns.basis import CLOSED_FORM_ETA_MAX
 
 from oracles import gauss_hermite_gram, mp_cbar, quad_weighted
@@ -58,50 +58,6 @@ class TestDefaultWeight:
         m = MarketParams(r=0.0, sigma=0.1, T=1.0, S0=1.0, K=1.0)
         with pytest.raises(ValidationError):
             default_weight(m, 0.0)
-
-
-def _raw_gram(w, N):
-    """Moment matrix of the plain monomials, S Mbar S with S = diag(s_k)."""
-    s = w.moment(np.arange(N + 1))
-    return np.outer(s, s) * gram(w, N)
-
-
-class TestGram:
-    def test_raw_two_by_two(self):
-        M = _raw_gram(WeightParams(mu=0.0, nu=1.0), 1)
-        want = [[1.0, math.exp(0.5)], [math.exp(0.5), math.exp(2.0)]]
-        np.testing.assert_allclose(M, want, rtol=1e-15)
-
-    def test_scaled_is_mu_free(self):
-        got1 = gram(WeightParams(mu=-3.0, nu=0.3), 1)
-        got2 = gram(WeightParams(mu=5.0, nu=0.3), 1)
-        want = [[1.0, 1.0], [1.0, math.exp(0.09)]]
-        np.testing.assert_allclose(got1, want, rtol=1e-15)
-        np.testing.assert_array_equal(got1, got2)
-
-    def test_raw_positive_definite(self):
-        M = _raw_gram(WeightParams(mu=0.0, nu=1.0), 3)
-        eigs = np.linalg.eigvalsh(M)
-        assert eigs.min() > 0.0
-        np.linalg.cholesky(M)  # factorization succeeds as well
-
-    def test_scaling_identity(self):
-        # S Mbar S is the Hankel matrix of the weight moments s_{i+j} to 1e-12
-        w = WeightParams(mu=0.15, nu=0.45)
-        i = np.arange(9)
-        np.testing.assert_allclose(_raw_gram(w, 8), w.moment(np.add.outer(i, i)),
-                                   rtol=1e-12)
-
-    def test_overflow_signalled(self):
-        with pytest.raises(NumericalError):
-            gram(WeightParams(mu=0.0, nu=6.0), 40)
-
-    def test_rcond_monotone_trend(self):
-        w = _w(0.09)
-        r = [1.0 / np.linalg.cond(gram(w, N)) for N in (2, 4, 6, 8, 10)]
-        assert all(v > 0.0 for v in r)
-        # diagnostic: condition worsens with N (allow small wiggle)
-        assert all(r[i + 1] <= r[i] * 1.1 for i in range(len(r) - 1))
 
 
 class TestWeightDensity:
@@ -191,14 +147,6 @@ class TestOrthonormalBasis:
         # every degree kept, also where LAPACK breaks down on Mbar (0.0626, 20)
         b = self._assert_matches_oracle(_w(nu2), N)
         assert b.resolvable_degree == N
-
-    def test_monomial_coefficients_match_scaled(self):
-        w = _w(0.2, mu=0.1)
-        b = orthonormal_basis(w, 5)
-        C = b.monomial_coefficients()
-        x = np.array([0.6, 1.0, 1.7])
-        vals = np.array([[np.polyval(row[::-1], xi) for xi in x] for row in C])
-        np.testing.assert_allclose(vals, b.evaluate(x), rtol=1e-10)
 
     def test_evaluate_rejects_nonpositive(self):
         b = orthonormal_basis(_w(0.2), 3)

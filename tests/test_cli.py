@@ -248,6 +248,11 @@ class TestErrboundCommand:
                 "value=0.6400000000000001 threshold=0.5\n") in err
         assert "sigma=0.3" not in err
 
+    def test_bad_sigma_grid_exits_2(self):
+        code, _, err = run_cli(["errbound", "--sigma-grid", "0.3,abc"])
+        assert code == 2
+        assert "module cli" in err and "sigma grid" in err
+
 
 class TestDiagnosticRecords:
     @pytest.mark.parametrize("argv", [

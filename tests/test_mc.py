@@ -11,7 +11,7 @@ from asianlns import (MarketParams, McConfig, ValidationError, WeightParams,
                       geometric_price_closed_form, iter_path_batches,
                       likelihood_norm_sq, mean_average, moments, price, price_cv,
                       density_cv, density_malliavin, simulate,
-                      squared_relative_error, tail_envelope_diagnostic)
+                      squared_relative_error)
 from asianlns.mc import CHUNK_PATHS, _arith_malliavin_weight, _geo_malliavin_weight
 
 from oracles import dense_ibp_density, quad_weighted
@@ -340,10 +340,3 @@ class TestHelpers:
                         n_effective=10, config=mc)
         _, (lo2, _hi2) = squared_relative_error(e2, 1.0)
         assert lo2 == 0.0
-
-    def test_tail_envelope(self, cases, sim_cache, light_mc):
-        m = cases[5]
-        b = sim_cache(m.normalized(), light_mc)
-        d = tail_envelope_diagnostic(m, b)
-        assert d.n_points == 25
-        assert 0.0 < d.max_ratio <= 1.5  # reflection bound holds up to noise

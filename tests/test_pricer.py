@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
-from asianlns import (MarketParams, ValidationError, WeightParams,
+from asianlns import (MarketParams, ValidationError, WeightParams, benchmark_cases,
                       default_weight, likelihood_coefficients, moments, payoff_coefficients,
                       orthonormal_basis, payoff_norm_sq, price,
                       scaled_payoff_projections, weight_density)
@@ -216,8 +216,6 @@ class TestPrice:
     def test_convergence_diagnostic(self, cases):
         ap = price(cases[5], 20)
         assert ap.convergence_diagnostic() == abs(float(ap.f[-1] * ap.ell[-1]))
-        partial = ap.partial_prices()
-        assert partial[-1] == pytest.approx(ap.price, rel=1e-15)
 
     def test_custom_weight_must_be_admissible(self):
         m = MarketParams(r=0.05, sigma=0.5, T=1.0, S0=1.0, K=1.0)
@@ -336,6 +334,22 @@ class TestDensityApprox:
         diff = np.abs(ap.density()(x) - est.value)
         tol = np.maximum(3.0 * est.std_error, 0.01 * est.value.max())
         assert np.mean(diff <= tol) >= 0.95
+
+    @pytest.mark.parametrize("market,N", [
+        *[(m, N) for m in benchmark_cases() for N in (0, 5, 10, 15, 20)],
+        (MarketParams(r=0.0, sigma=1.0, T=1.0, S0=1.0, K=1.0), 40),
+        (MarketParams(r=0.05, sigma=0.3, T=2.0, S0=1.0, K=0.0), 40)])
+    def test_log_normal_mixture(self, market, N):
+        # the mixture sum_k coef_k LN(mu + k nu^2, nu) is the series
+        # w sum_n ell_n b_n, from the far left tail out to where the degree-N
+        # terms still carry mass
+        ap = price(market, N)
+        w = ap.weight
+        x = np.exp(np.linspace(w.mu - 9.0 * w.nu, w.mu + (8.0 + N * w.nu) * w.nu, 400))
+        series = weight_density(w, x) * (ap.ell @ ap.basis.evaluate(x))
+        dens = ap.density()
+        assert np.max(np.abs(dens(x) - series)) <= 2e-8 * np.max(np.abs(series))
+        assert abs(dens.coef.sum() - 1.0) <= 1e-7  # the mass, ell_0
 
     def test_rejects_nonpositive(self, cases):
         ap = price(cases[3], 4)
