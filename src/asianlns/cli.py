@@ -58,8 +58,8 @@ def _mc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=float, default=1e-3, help="simulation step (years)")
     p.add_argument("--seed", type=int, default=0, help="reproducibility seed")
     p.add_argument("--batches", type=int, default=0,
-                   help="worker threads (0 = ASIANLNS_THREADS or 1); "
-                        "does not affect results")
+                   help="worker threads (0 = ASIANLNS_THREADS, else every usable "
+                        "core); does not affect results")
 
 
 def _output_args(p: argparse.ArgumentParser) -> None:

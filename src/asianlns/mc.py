@@ -9,12 +9,14 @@ error bound.
 
 Reproducibility contract: paths are generated in fixed-size chunks, each
 from its own counter-based Philox substream keyed by (seed, stream, chunk).
-The ``batches`` knob only controls worker parallelism; results are
-bit-identical for a given (seed, paths, dt) regardless of it.  Every
-estimator turns each chunk into (n, mean, M2) and merges the chunks in
-chunk order in one loop (``_chunk_stats``) over ``iter_path_batches``, so
-``likelihood_norm_sq`` and its second stream follow ``batches`` like the
-others.
+The ``batches`` knob only sets how many worker threads run the chunks (by
+default ``ASIANLNS_THREADS`` or else every usable core); results are
+bit-identical for a given (seed, paths, dt) regardless of it.  One runner,
+``_map_chunks``, serves every consumer: the worker for a chunk simulates
+its stream(s) and reduces them to what the consumer asks for, which for
+every estimator is a list of (n, mean, M2) triples that ``_chunk_stats``
+merges in chunk order.  ``likelihood_norm_sq`` draws chunk c of its second
+stream in the same task as chunk c of stream 0.
 
 The grid estimators never form a grid x paths array.  Each chunk sorts
 each level it needs once; ``np.searchsorted`` then places every grid
@@ -46,11 +48,19 @@ CHUNK_PATHS = 32768
 THREADS_ENV_VAR = "ASIANLNS_THREADS"
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _default_batches() -> int:
+    """A positive integer ``ASIANLNS_THREADS``, else the usable core count."""
     try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
+        threads = int(os.environ.get(THREADS_ENV_VAR, ""))
     except ValueError:
-        return 1
+        threads = 0
+    return threads if threads > 0 else _usable_cores()
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,7 @@ class McConfig:
     paths: int = 200_000
     dt: float = 1e-3
     seed: int = 0
-    batches: int = 0  # 0 -> resolve from ASIANLNS_THREADS (default 1)
+    batches: int = 0  # worker threads; 0 -> ASIANLNS_THREADS, else the usable cores
 
     def __post_init__(self):
         if self.paths < 1:
@@ -155,26 +165,38 @@ def _steps_for(market: MarketParams, config: McConfig) -> tuple:
     return steps, market.T / steps
 
 
-def iter_path_batches(market: MarketParams, config: McConfig,
-                      stream: int = 0) -> Iterator[PathBatch]:
-    """Yield PathBatch chunks in deterministic chunk order.
+def _map_chunks(market: MarketParams, config: McConfig, work) -> Iterator:
+    """Yield ``work(draw, c)`` for every chunk c, in chunk order.
 
-    Chunks are computed in parallel when config.batches > 1 but always
-    yielded (and therefore reduced by callers) in chunk-index order.
+    ``draw(stream)`` simulates chunk c of that stream.  The chunks run on
+    min(batches, chunks) threads of one pool that lives for this call; each
+    task does its whole chunk, simulation and reduction, so a worker holds
+    one chunk's arrays at a time and hands back only what ``work`` returns.
     """
     steps, dt = _steps_for(market, config)
     nchunks = (config.paths + CHUNK_PATHS - 1) // CHUNK_PATHS
 
-    def run(c: int) -> PathBatch:
+    def run(c: int):
         n = min(CHUNK_PATHS, config.paths - c * CHUNK_PATHS)
-        return _simulate_chunk(market, steps, dt, n, _chunk_rng(config.seed, stream, c))
+        return work(lambda stream: _simulate_chunk(
+            market, steps, dt, n, _chunk_rng(config.seed, stream, c)), c)
 
-    if config.batches > 1 and nchunks > 1:
-        with ThreadPoolExecutor(max_workers=config.batches) as pool:
+    workers = min(config.batches, nchunks)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(run, range(nchunks))
     else:
-        for c in range(nchunks):
-            yield run(c)
+        yield from map(run, range(nchunks))
+
+
+def iter_path_batches(market: MarketParams, config: McConfig,
+                      stream: int = 0) -> Iterator[PathBatch]:
+    """Yield PathBatch chunks in deterministic chunk order.
+
+    Chunks are simulated on up to config.batches threads but always
+    yielded in chunk-index order.
+    """
+    return _map_chunks(market, config, lambda draw, c: draw(stream))
 
 
 def simulate(market: MarketParams, config: McConfig, stream: int = 0) -> PathBatch:
@@ -195,13 +217,11 @@ def _merge_stats(nA, meanA, m2A, nB, meanB, m2B):
     return n, mean, m2
 
 
-def _chunk_stats(chunks, stats) -> list:
-    """Merge, over the chunks in order, the (n, mean, M2) triples that
-    ``stats(chunk)`` returns; the temporaries of ``stats`` are freed chunk
-    by chunk."""
+def _chunk_stats(market: MarketParams, config: McConfig, stats) -> list:
+    """Merge, over the chunks in order, the lists of (n, mean, M2) triples
+    that ``stats(draw, c)`` returns for each chunk (see ``_map_chunks``)."""
     merged = None
-    for chunk in chunks:
-        part = stats(chunk)
+    for part in _map_chunks(market, config, stats):
         merged = part if merged is None else [_merge_stats(*a, *b)
                                               for a, b in zip(merged, part)]
     return merged
@@ -214,8 +234,9 @@ def _sample_stats(v: np.ndarray) -> tuple:
 
 def _sums_stats(n: int, total, total_sq) -> tuple:
     """(n, mean, M2) from the sum and the sum of squares of n samples; M2 is
-    floored at 0 against rounding."""
-    return n, total / n, np.maximum(total_sq - total * total / n, 0.0)
+    formed in the dtype of ``total_sq`` and floored at 0 against rounding."""
+    return n, total / n, np.maximum(
+        total_sq - np.square(total, dtype=total_sq.dtype) / n, 0.0)
 
 
 def price_cv(market: MarketParams, config: McConfig) -> McEstimate:
@@ -229,11 +250,12 @@ def price_cv(market: MarketParams, config: McConfig) -> McEstimate:
     disc = math.exp(-market.r * market.T)
     geo = geometric_price_closed_form(market)
 
-    def stats(p: PathBatch):
+    def stats(draw, c):
+        p = draw(0)
         return [_sample_stats(disc * (np.maximum(p.average - market.K, 0.0)
                                       - np.maximum(p.geo_average - market.K, 0.0)) + geo)]
 
-    [(n, mean, m2)] = _chunk_stats(iter_path_batches(market, config), stats)
+    [(n, mean, m2)] = _chunk_stats(market, config, stats)
     return McEstimate.from_stats(n, float(mean), float(m2), config)
 
 
@@ -267,33 +289,38 @@ def _split_sums(level: np.ndarray, x: np.ndarray, *weights) -> tuple:
     """Sums of each weight over {level < x} and over {level >= x}, for every
     grid point x, from one sort of ``level``.
 
-    Returns (below, above), each with one row per weight.  Both come from
-    cumulative sums padded with a 0, the prefix in front and the suffix
-    behind, so an empty set sums to an exact 0 rather than to a total minus
-    a partial sum.  A tie level == x falls in the upper set.
+    Returns (below, above), each a list with one array per weight, summed
+    in that weight's dtype.  Both come from cumulative sums padded with a 0,
+    the prefix in front and the suffix behind, so an empty set sums to an
+    exact 0 rather than to a total minus a partial sum.  A tie level == x
+    falls in the upper set.
     """
     order = np.argsort(level)
     k = np.searchsorted(level[order], x, side="left")
-    below = np.zeros((len(weights), level.shape[0] + 1))
-    above = np.zeros_like(below)
-    for row, w in enumerate(weights):
+    below, above = [], []
+    for w in weights:
         w = w[order]
-        np.cumsum(w, out=below[row, 1:])
-        np.cumsum(w[::-1], out=above[row, -2::-1])
-    return below[:, k], above[:, k]
+        sums = np.zeros(w.shape[0] + 1, dtype=w.dtype)
+        np.cumsum(w, out=sums[1:])
+        below.append(sums[k])
+        sums[-1] = 0.0  # the suffix sum over no path; the prefix pass left the total
+        np.cumsum(w[::-1], out=sums[-2::-1])
+        above.append(sums[k])
+    return below, above
 
 
 def _ibp_sums(level: np.ndarray, x: np.ndarray, mean: float, w: np.ndarray,
-              *cross) -> tuple:
+              w2: np.ndarray, *cross) -> tuple:
     """Sum and sum of squares over a chunk of ``_ibp_term(level, x, mean, w)``
-    for every grid point x, with no grid x paths array.
+    for every grid point x, with no grid x paths array; ``w2`` is w^2, in
+    the dtype its sums should accumulate in.
 
     Where x <= mean the term is -w on {level < x} and 0 elsewhere, so the
     prefix sums over that set are read with sign -1; elsewhere it is w on
     {level >= x}.  The sums of the weights in ``cross`` over {level >= x}
     come back as well, from the same sort.
     """
-    below, above = _split_sums(level, x, w, w * w, *cross)
+    below, above = _split_sums(level, x, w, w2, *cross)
     low = x <= mean
     return (np.where(low, -below[0], above[0]), np.where(low, below[1], above[1]),
             *above[2:])
@@ -337,11 +364,12 @@ def density_malliavin(market: MarketParams, config: McConfig,
     x = _check_grid(x_grid)
     m1 = mean_average(market)
 
-    def stats(p: PathBatch):
-        return [_sums_stats(p.n, *_ibp_sums(p.average, x, m1,
-                                            _arith_malliavin_weight(market, p)))]
+    def stats(draw, c):
+        p = draw(0)
+        w = _arith_malliavin_weight(market, p)
+        return [_sums_stats(p.n, *_ibp_sums(p.average, x, m1, w, w * w))]
 
-    [(n, mean, m2)] = _chunk_stats(iter_path_batches(market, config), stats)
+    [(n, mean, m2)] = _chunk_stats(market, config, stats)
     return DensityGridEstimate(x=x, value=mean, std_error=_std_error(n, m2),
                                n_effective=n, config=config)
 
@@ -367,7 +395,10 @@ def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEst
     assumed pathwise: it holds in exact arithmetic but not after rounding.
     Where no path is in a term's set its sums are exact zeros.  The
     variance comes from expanded sums, so its relative rounding error is
-    about the unit roundoff times the variance reduction factor.
+    about the unit roundoff of those sums times the variance reduction
+    factor; the sums of W_A^2, W_Q^2 and u are therefore accumulated in
+    ``np.longdouble`` (no gain where that is plain double), while the
+    first-moment sums, hence the estimate itself, stay in double.
     """
     x = _check_grid(x_grid)
     mq, sq = _geo_law(market)
@@ -375,11 +406,13 @@ def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEst
     qx = geo_average_density(market, x)
     low_a, low_q = x <= m1a, x <= m1q
 
-    def stats(p: PathBatch):
+    def stats(draw, c):
+        p = draw(0)
         wa, wq = _arith_malliavin_weight(market, p), _geo_malliavin_weight(market, p)
-        u = wa * wq
-        sa, sa2, ua = _ibp_sums(p.average, x, m1a, wa, u)
-        sb, sb2, uq = _ibp_sums(p.geo_average, x, m1q, wq, u)
+        wide = np.longdouble
+        u = np.multiply(wa, wq, dtype=wide)
+        sa, sa2, ua = _ibp_sums(p.average, x, m1a, wa, np.square(wa, dtype=wide), u)
+        sb, sb2, uq = _ibp_sums(p.geo_average, x, m1q, wq, np.square(wq, dtype=wide), u)
         (u_lo,), _ = _split_sums(np.maximum(p.average, p.geo_average), x, u)
         _, (u_hi,) = _split_sums(np.minimum(p.average, p.geo_average), x, u)
         sab = np.where(low_a, np.where(low_q, u_lo, u_hi - uq),
@@ -388,8 +421,8 @@ def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEst
         n, mean_d, m2_cv = _sums_stats(p.n, sd, sa2 - 2.0 * sab + sb2)
         return [_sums_stats(p.n, sa, sa2), (n, mean_d + qx, m2_cv)]
 
-    (_, _, m2_plain), (n, mean_cv, m2_cv) = _chunk_stats(
-        iter_path_batches(market, config), stats)
+    (_, _, m2_plain), (n, mean_cv, m2_cv) = _chunk_stats(market, config, stats)
+    m2_plain, m2_cv = m2_plain.astype(float), m2_cv.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         vr = np.where((m2_cv > 0) & (m2_plain > 0), m2_plain / m2_cv, np.nan)
     return DensityGridEstimate(x=x, value=mean_cv, std_error=_std_error(n, m2_cv),
@@ -421,23 +454,20 @@ def likelihood_norm_sq(market: MarketParams, config: McConfig, weight: WeightPar
             module="mc")
     mq, sq = _geo_law(market)
     m1a, m1q = mean_average(market), math.exp(mq + 0.5 * sq * sq)
-    stream0 = iter_path_batches(market, config)
-    if tilde_from_weight:
-        pairs = ((p, np.exp(weight.mu + weight.nu
-                            * _chunk_rng(config.seed, 1, c).standard_normal(p.n)))
-                 for c, p in enumerate(stream0))
-    else:
-        pairs = ((p, t.average)
-                 for p, t in zip(stream0, iter_path_batches(market, config, stream=1)))
 
-    def stats(pair):
-        p, at = pair
+    def stats(draw, c):
+        p = draw(0)
+        if tilde_from_weight:
+            at = np.exp(weight.mu + weight.nu
+                        * _chunk_rng(config.seed, 1, c).standard_normal(p.n))
+        else:
+            at = draw(1).average
         num = (_ibp_term(p.average, at, m1a, _arith_malliavin_weight(market, p))
                + geo_average_density(market, at)
                - _ibp_term(p.geo_average, at, m1q, _geo_malliavin_weight(market, p)))
         return [_sample_stats(num / weight_density(weight, at))]
 
-    [(n, mean, m2)] = _chunk_stats(pairs, stats)
+    [(n, mean, m2)] = _chunk_stats(market, config, stats)
     return McEstimate.from_stats(n, float(mean), float(m2), config)
 
 

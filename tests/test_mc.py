@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo engine: simulation, estimators, error bound."""
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -17,16 +18,24 @@ from asianlns.mc import CHUNK_PATHS, _arith_malliavin_weight, _geo_malliavin_wei
 from oracles import dense_ibp_density, quad_weighted
 
 
+#: the cores this process may run on, which is the default worker count
+CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
 class TestConfig:
-    def test_defaults(self):
+    def test_defaults(self, monkeypatch):
+        monkeypatch.delenv("ASIANLNS_THREADS", raising=False)
         c = McConfig(seed=3)
-        assert c.paths == 200_000 and c.dt == 1e-3 and c.batches == 1
+        assert c.paths == 200_000 and c.dt == 1e-3 and c.batches == CORES
 
     def test_env_batches(self, monkeypatch):
         monkeypatch.setenv("ASIANLNS_THREADS", "4")
         assert McConfig(seed=0).batches == 4
-        monkeypatch.setenv("ASIANLNS_THREADS", "junk")
-        assert McConfig(seed=0).batches == 1
+        assert McConfig(seed=0, batches=3).batches == 3
+        for bad in ("junk", "0"):
+            monkeypatch.setenv("ASIANLNS_THREADS", bad)
+            assert McConfig(seed=0).batches == CORES
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -74,25 +83,32 @@ class TestSimulate:
                                    atol=1e-10)
 
     def test_deterministic_across_batch_parallelism(self):
+        # fewer chunks than workers (2 chunks) and more (3 chunks on 2 threads)
         m = MarketParams(r=0.05, sigma=0.4, T=1.0, S0=1.0, K=1.0)
-        a = McConfig(paths=3 * CHUNK_PATHS // 2, dt=1e-2, seed=9, batches=1)
-        b = McConfig(paths=3 * CHUNK_PATHS // 2, dt=1e-2, seed=9, batches=8)
-        sa, sb = simulate(m, a), simulate(m, b)
-        assert np.array_equal(sa.average, sb.average)
-        assert np.array_equal(sa.terminal, sb.terminal)
-        ea, eb = price_cv(m, a), price_cv(m, b)
-        assert ea.value == eb.value and ea.std_error == eb.std_error
-        # the estimators reduce chunk by chunk in chunk order, so batches
-        # changes none of their results either
         x = np.linspace(0.6, 1.6, 20)
-        da, db = density_cv(m, a, x), density_cv(m, b, x)
-        for name in ("value", "std_error", "variance_reduction"):
-            assert np.array_equal(getattr(da, name), getattr(db, name), equal_nan=True)
         w = default_weight(m, mean_average(m))
+        for paths in (3 * CHUNK_PATHS // 2, 5 * CHUNK_PATHS // 2):
+            runs = [self._estimates(m, McConfig(paths=paths, dt=1e-2, seed=9, batches=b),
+                                    x, w) for b in (1, 2, 8)]
+            for run in runs[1:]:
+                for name, got in run.items():
+                    assert np.array_equal(got, runs[0][name], equal_nan=True), (paths, name)
+
+    @staticmethod
+    def _estimates(m, cfg, x, w) -> dict:
+        # the estimators reduce chunk by chunk in chunk order, so batches
+        # changes none of their results
+        s = simulate(m, cfg)
+        e = price_cv(m, cfg)
+        dm, dc = density_malliavin(m, cfg, x), density_cv(m, cfg, x)
+        out = {"average": s.average, "terminal": s.terminal,
+               "price": [e.value, e.std_error],
+               "malliavin": [dm.value, dm.std_error],
+               "cv": [dc.value, dc.std_error, dc.variance_reduction]}
         for tilde in (False, True):
-            la = likelihood_norm_sq(m, a, w, tilde_from_weight=tilde)
-            lb = likelihood_norm_sq(m, b, w, tilde_from_weight=tilde)
-            assert la.value == lb.value and la.std_error == lb.std_error
+            est = likelihood_norm_sq(m, cfg, w, tilde_from_weight=tilde)
+            out[f"norm_{tilde}"] = [est.value, est.std_error]
+        return out
 
     def test_seed_changes_draws(self):
         m = MarketParams(r=0.05, sigma=0.4, T=1.0, S0=1.0, K=1.0)
@@ -258,6 +274,23 @@ class TestGridReduction:
             assert np.all(est.std_error[-2:] == 0.0)
         assert np.all(plain.value[-2:] == 0.0)
         assert np.all(np.isnan(cv.variance_reduction[-2:]))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="np.longdouble is plain double here")
+    @pytest.mark.parametrize("sigma, rtol", [(1e-6, 1e-4), (1e-8, 1.0)])
+    def test_cv_standard_error_at_large_variance_reduction(self, sigma, rtol):
+        # a variance reduction of 1e13 (sigma 1e-6) or 1e17 (sigma 1e-8)
+        # leaves only the digits beyond double of the expanded sums
+        m = MarketParams(r=0.0, sigma=sigma, T=1.0, S0=1.0, K=1.0)
+        cfg = McConfig(paths=4096, dt=2e-2, seed=3)
+        p = simulate(m, cfg)
+        lo, hi = p.geo_average.min(), p.average.max()
+        x = np.concatenate([np.linspace(lo, hi, 50), [0.5 * lo, 2.0 * hi]])
+        got = density_cv(m, cfg, x).std_error
+        _, want, _ = dense_ibp_density(m, cfg, x, control_variate=True)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        on = want != 0.0
+        assert np.max(np.abs(got[on] - want[on]) / want[on]) <= rtol
 
     def test_single_path_standard_error_is_inf(self):
         m = MarketParams(r=0.05, sigma=0.4, T=1.0, S0=1.0, K=1.0)
