@@ -18,9 +18,8 @@ from .basis import (OrthonormalBasis, WeightParams, default_weight, orthonormal_
 from .pricer import (DensityApproximant, SeriesApproximation, likelihood_coefficients,
                      payoff_coefficients, payoff_norm_sq, price, scaled_payoff_projections)
 from .mc import (DensityGridEstimate, ErrorBound, McConfig, McEstimate, PathBatch,
-                 density_cv, density_malliavin, error_bound, geo_average_density,
-                 iter_path_batches, likelihood_norm_sq, price_cv, simulate,
-                 squared_relative_error)
+                 density_cv, error_bound, geo_average_density, likelihood_norm_sq,
+                 price_cv, simulate, squared_relative_error)
 from .benchmarks import benchmark_cases, reference_case, reference_data
 
 __all__ = [
@@ -31,8 +30,8 @@ __all__ = [
     "DensityApproximant", "SeriesApproximation", "likelihood_coefficients",
     "payoff_coefficients", "payoff_norm_sq", "price", "scaled_payoff_projections",
     "DensityGridEstimate", "ErrorBound", "McConfig", "McEstimate", "PathBatch",
-    "density_cv", "density_malliavin", "error_bound", "geo_average_density",
-    "geometric_price_closed_form", "iter_path_batches", "likelihood_norm_sq",
+    "density_cv", "error_bound", "geo_average_density",
+    "geometric_price_closed_form", "likelihood_norm_sq",
     "price_cv", "simulate", "squared_relative_error",
     "benchmark_cases", "reference_case", "reference_data",
 ]

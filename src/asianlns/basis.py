@@ -20,8 +20,7 @@ The basis coefficients cbar = D^{-1/2} B^{-1} are closed form as well,
     cbar_nk = (-1)^{n-k} q^{(n-k)(n-k-1)/2 - n(n-1)/4} sqrt(F_n) / (F_k F_{n-k}),
 
 and are built from log F_j = sum_{m<=j} log expm1(m nu^2), so no entry
-overflows at large nu^2 or N and Mbar is neither formed nor factorized
-(only ``OrthonormalBasis.gram_identity_error`` forms it, as a check).
+overflows at large nu^2 or N and Mbar is neither formed nor factorized.
 
 A weighted scaled monomial is itself a log-normal density:
 w(x) u_k(x) = LN(x; mu + k nu^2, nu).  So a series w sum_n a_n b_n is the
@@ -46,7 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import MarketParams, _check_degree
+from .model import MarketParams, _check_int
 
 #: largest rounding estimate eta_n of a kept basis degree: the coefficient
 #: noise it allows stays an order of magnitude below the 1e-4 price
@@ -76,11 +75,6 @@ class WeightParams:
     def admissible_for(self, market: MarketParams) -> bool:
         """Square-integrability condition nu^2 > sigma^2 T / 2 for the likelihood ratio."""
         return self.nu2 > 0.5 * market.sigma**2 * market.T
-
-    def moment(self, n) -> np.ndarray:
-        """n-th moment s_n = exp(n mu + n^2 nu^2 / 2) of the weight."""
-        n = np.asarray(n, dtype=float)
-        return np.exp(n * self.mu + 0.5 * n**2 * self.nu2)
 
 
 def default_weight(params: MarketParams, first_moment: float) -> WeightParams:
@@ -147,34 +141,6 @@ class OrthonormalBasis:
             raise ValidationError("scaled moment vector length mismatch", module="basis")
         return self.cbar @ vbar
 
-    def evaluate(self, x) -> np.ndarray:
-        """Evaluate all basis polynomials at x; returns shape (N+1,) + x.shape.
-
-        Uses the scaled-monomial form exp(k (log x - mu) - k^2 nu^2 / 2),
-        which stays bounded on the bulk of the weight for any degree.
-        """
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise ValidationError("basis evaluation requires x > 0", module="basis")
-        k = np.arange(self.N + 1, dtype=float)
-        lx = np.log(x).reshape(-1)
-        U = np.exp(np.outer(k, lx - self.weight.mu) - 0.5 * (k**2)[:, None] * self.weight.nu2)
-        out = self.cbar @ U
-        return out.reshape((self.N + 1,) + x.shape)
-
-    def gram_identity_error(self) -> float:
-        """max |cbar Mbar cbar^T - I|, the orthonormality defect.
-
-        Mbar and the product are evaluated in np.longdouble (extended
-        precision where the platform has it): in double precision their
-        rounding alone reads 1.5e-8 at nu^2 = 0.125, N = 10, where the defect
-        of cbar itself is 5e-13.
-        """
-        k = np.arange(self.N + 1, dtype=np.longdouble)
-        Mbar = np.exp(np.outer(k, k) * self.weight.nu2)
-        C = self.cbar.astype(np.longdouble)
-        return float(np.max(np.abs(C @ Mbar @ C.T - np.eye(self.N + 1))))
-
 
 def orthonormal_basis(weight: WeightParams, N: int) -> OrthonormalBasis:
     """Construct the degree-N orthonormal basis.
@@ -196,7 +162,7 @@ def orthonormal_basis(weight: WeightParams, N: int) -> OrthonormalBasis:
     zero, which happens once nu^2 n^2 / 2 exceeds about 745: the scaled
     monomials cannot represent that degree in double precision.
     """
-    N = _check_degree(N)
+    N = _check_int(N, "degree N", "model")
     nu2 = weight.nu2
     n = np.arange(N + 1, dtype=float)
     # the lag n - k is 0 above the diagonal, where cbar's q-exponent

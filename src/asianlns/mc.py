@@ -18,12 +18,13 @@ every estimator is a list of (n, mean, M2) triples that ``_chunk_stats``
 merges in chunk order.  ``likelihood_norm_sq`` draws chunk c of its second
 stream in the same task as chunk c of stream 0.
 
-The grid estimators never form a grid x paths array.  Each chunk sorts
-each level it needs once; ``np.searchsorted`` then places every grid
-point, and prefix and suffix cumulative sums of the weights and squared
-weights give each point's sum and sum of squares in O(n log n + G).  A
-point whose set of paths is empty reads an exact 0, so the estimate and
-its standard error vanish exactly below and above every sample.
+The grid estimator ``density_cv`` never forms a grid x paths array.  Each
+chunk sorts A_T once and Q_T once; ``np.searchsorted`` then places every
+grid point, and prefix and suffix cumulative sums of the weights and
+squared weights give each point's sum and sum of squares in
+O(n log n + G).  A point whose set of paths is empty reads an exact 0, so
+the estimate and its standard error vanish exactly below and above every
+sample.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import MarketParams, _geo_law, geometric_price_closed_form, mean_average
+from .model import (MarketParams, _check_int, _geo_law, geometric_price_closed_form,
+                    mean_average)
 from .basis import WeightParams, weight_density
 from .pricer import SeriesApproximation
 
@@ -73,12 +75,10 @@ class McConfig:
     batches: int = 0  # worker threads; 0 -> ASIANLNS_THREADS, else the usable cores
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise ValidationError(f"paths must be >= 1, got {self.paths}", module="mc")
+        for name, least in (("paths", 1), ("seed", None), ("batches", 0)):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, "mc", least))
         if not (self.dt > 0.0) or not math.isfinite(self.dt):
             raise ValidationError(f"dt must be > 0, got {self.dt}", module="mc")
-        if self.batches < 0:
-            raise ValidationError("batches must be >= 0", module="mc")
         if self.batches == 0:
             object.__setattr__(self, "batches", _default_batches())
 
@@ -114,8 +114,8 @@ class PathBatch:
     """Terminal samples of a set of simulated paths.
 
     average and geo_average are trapezoidal discretizations of the
-    continuous arithmetic and geometric means; the arithmetic one dominates
-    the geometric one pathwise.
+    continuous arithmetic and geometric means; geo_average <= average holds
+    exactly on every path.
     """
 
     terminal: np.ndarray = field(repr=False)      # S_T
@@ -153,7 +153,9 @@ def _simulate_chunk(market: MarketParams, steps: int, dt: float, n: int,
         lsum += logs
 
     average = (asum + 0.5 * (market.S0 - s)) / steps
-    geo_average = np.exp((lsum + 0.5 * (log_s0 - logs)) / steps)
+    # both means use the trapezoid weights (1/2, 1, ..., 1, 1/2) / steps, so
+    # Q <= A holds exactly by weighted AM-GM; the clamp undoes rounding
+    geo_average = np.minimum(np.exp((lsum + 0.5 * (log_s0 - logs)) / steps), average)
     return PathBatch(terminal=s, average=average, geo_average=geo_average,
                      brownian=sq * zacc)
 
@@ -189,19 +191,9 @@ def _map_chunks(market: MarketParams, config: McConfig, work) -> Iterator:
         yield from map(run, range(nchunks))
 
 
-def iter_path_batches(market: MarketParams, config: McConfig,
-                      stream: int = 0) -> Iterator[PathBatch]:
-    """Yield PathBatch chunks in deterministic chunk order.
-
-    Chunks are simulated on up to config.batches threads but always
-    yielded in chunk-index order.
-    """
-    return _map_chunks(market, config, lambda draw, c: draw(stream))
-
-
 def simulate(market: MarketParams, config: McConfig, stream: int = 0) -> PathBatch:
     """Simulate all paths and concatenate the terminal samples."""
-    parts = list(iter_path_batches(market, config, stream=stream))
+    parts = list(_map_chunks(market, config, lambda draw, c: draw(stream)))
     return PathBatch(terminal=np.concatenate([p.terminal for p in parts]),
                      average=np.concatenate([p.average for p in parts]),
                      geo_average=np.concatenate([p.geo_average for p in parts]),
@@ -279,8 +271,8 @@ def _ibp_term(level: np.ndarray, x, mean: float, w: np.ndarray) -> np.ndarray:
 
     Its expectation is the density of ``level`` at x; subtracting the
     deterministic 1{x <= E[level]} pins it to zero for x -> 0 instead of
-    leaving pure Monte-Carlo noise there.  On a grid the same term is
-    summed by ``_ibp_sums``.
+    leaving pure Monte-Carlo noise there.  On a grid ``density_cv`` sums
+    the same term from sorted cumulative sums.
     """
     return ((level >= x).astype(float) - (x <= mean)) * w
 
@@ -309,23 +301,6 @@ def _split_sums(level: np.ndarray, x: np.ndarray, *weights) -> tuple:
     return below, above
 
 
-def _ibp_sums(level: np.ndarray, x: np.ndarray, mean: float, w: np.ndarray,
-              w2: np.ndarray, *cross) -> tuple:
-    """Sum and sum of squares over a chunk of ``_ibp_term(level, x, mean, w)``
-    for every grid point x, with no grid x paths array; ``w2`` is w^2, in
-    the dtype its sums should accumulate in.
-
-    Where x <= mean the term is -w on {level < x} and 0 elsewhere, so the
-    prefix sums over that set are read with sign -1; elsewhere it is w on
-    {level >= x}.  The sums of the weights in ``cross`` over {level >= x}
-    come back as well, from the same sort.
-    """
-    below, above = _split_sums(level, x, w, w2, *cross)
-    low = x <= mean
-    return (np.where(low, -below[0], above[0]), np.where(low, below[1], above[1]),
-            *above[2:])
-
-
 def geo_average_density(market: MarketParams, x) -> np.ndarray:
     """Closed-form log-normal density of the geometric average Q_T."""
     m, s = _geo_law(market)
@@ -341,7 +316,7 @@ class DensityGridEstimate:
     std_error: np.ndarray = field(repr=False)
     n_effective: int
     config: McConfig
-    variance_reduction: Optional[np.ndarray] = field(repr=False, default=None)
+    variance_reduction: np.ndarray = field(repr=False)
 
 
 def _check_grid(x_grid) -> np.ndarray:
@@ -349,29 +324,6 @@ def _check_grid(x_grid) -> np.ndarray:
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValidationError("density grid must be positive and finite", module="mc")
     return x
-
-
-def density_malliavin(market: MarketParams, config: McConfig,
-                      x_grid) -> DensityGridEstimate:
-    """Density of A_T on a grid from the integration-by-parts identity
-    g(x) = E[(1{A_T >= x} - 1{x <= E[A_T]}) W] (see ``_ibp_term``).
-
-    Each chunk sorts its A_T samples once and reads every grid point's sum
-    and sum of squares of the term from cumulative sums (``_ibp_sums``).
-    Below and above every sample the estimate and its standard error are
-    exact zeros.
-    """
-    x = _check_grid(x_grid)
-    m1 = mean_average(market)
-
-    def stats(draw, c):
-        p = draw(0)
-        w = _arith_malliavin_weight(market, p)
-        return [_sums_stats(p.n, *_ibp_sums(p.average, x, m1, w, w * w))]
-
-    [(n, mean, m2)] = _chunk_stats(market, config, stats)
-    return DensityGridEstimate(x=x, value=mean, std_error=_std_error(n, m2),
-                               n_effective=n, config=config)
 
 
 def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEstimate:
@@ -384,21 +336,18 @@ def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEst
     paths) is reported; it is NaN where either variance vanishes.
 
     Per chunk, with a = the A_T term, b = the Q_T term and u = W_A W_Q:
-    one sort by A_T gives the sums of a and a^2, one by Q_T those of b and
-    b^2, and as q(x) is a constant the control-variate variance is that of
-    a - b, which needs the cross sum of a b.  Its indicator products are
-    1{A >= x} 1{Q >= x} = 1{min(A, Q) >= x} and
-    1{A < x} 1{Q < x} = 1{max(A, Q) < x}, so two more sorts, of u by
-    min(A, Q) and by max(A, Q), give it; where only one of the two shifts
-    1{x <= E[.]} is on, it is the min sum less the sum of u over
-    {level >= x} for the level whose shift is off.  A_T >= Q_T is not
-    assumed pathwise: it holds in exact arithmetic but not after rounding.
-    Where no path is in a term's set its sums are exact zeros.  The
-    variance comes from expanded sums, so its relative rounding error is
-    about the unit roundoff of those sums times the variance reduction
-    factor; the sums of W_A^2, W_Q^2 and u are therefore accumulated in
-    ``np.longdouble`` (no gain where that is plain double), while the
-    first-moment sums, hence the estimate itself, stay in double.
+    one sort by A_T gives the sums of a, a^2 and u over {A < x} and
+    {A >= x}, one by Q_T those of b, b^2 and u over {Q >= x}.  As q(x) is
+    a constant the control-variate variance is that of a - b, and the
+    cross sum of a b needs no further sort: Q_T <= A_T on every path (see
+    ``PathBatch``), so 1{A >= x} 1{Q >= x} = 1{Q >= x} and
+    1{A < x} 1{Q < x} = 1{A < x}.  Where no path is in a term's set its
+    sums are exact zeros.  The variance comes from expanded sums, so its
+    relative rounding error is about the unit roundoff of those sums times
+    the variance reduction factor; the sums of W_A^2, W_Q^2 and u are
+    therefore accumulated in ``np.longdouble`` (no gain where that is plain
+    double), while the first-moment sums, hence the estimate itself, stay
+    in double.
     """
     x = _check_grid(x_grid)
     mq, sq = _geo_law(market)
@@ -411,12 +360,15 @@ def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEst
         wa, wq = _arith_malliavin_weight(market, p), _geo_malliavin_weight(market, p)
         wide = np.longdouble
         u = np.multiply(wa, wq, dtype=wide)
-        sa, sa2, ua = _ibp_sums(p.average, x, m1a, wa, np.square(wa, dtype=wide), u)
-        sb, sb2, uq = _ibp_sums(p.geo_average, x, m1q, wq, np.square(wq, dtype=wide), u)
-        (u_lo,), _ = _split_sums(np.maximum(p.average, p.geo_average), x, u)
-        _, (u_hi,) = _split_sums(np.minimum(p.average, p.geo_average), x, u)
-        sab = np.where(low_a, np.where(low_q, u_lo, u_hi - uq),
-                       np.where(low_q, u_hi - ua, u_hi))
+        (a_lo, a2_lo, ua_lo), (a_hi, a2_hi, ua) = _split_sums(
+            p.average, x, wa, np.square(wa, dtype=wide), u)
+        (b_lo, b2_lo, _), (b_hi, b2_hi, uq) = _split_sums(
+            p.geo_average, x, wq, np.square(wq, dtype=wide), u)
+        # where x <= E[level] a term is -W on {level < x}, else W on {level >= x}
+        sa, sa2 = np.where(low_a, -a_lo, a_hi), np.where(low_a, a2_lo, a2_hi)
+        sb, sb2 = np.where(low_q, -b_lo, b_hi), np.where(low_q, b2_lo, b2_hi)
+        # a b is 0 where only A's shift is on: {A < x, Q >= x} is empty
+        sab = np.where(low_a, np.where(low_q, ua_lo, 0.0), uq - np.where(low_q, ua, 0.0))
         sd = sa - sb
         n, mean_d, m2_cv = _sums_stats(p.n, sd, sa2 - 2.0 * sab + sb2)
         return [_sums_stats(p.n, sa, sa2), (n, mean_d + qx, m2_cv)]
@@ -506,7 +458,10 @@ def error_bound(approx: SeriesApproximation, norm_est: McEstimate) -> ErrorBound
 
 
 def squared_relative_error(mc_price: McEstimate, series_price: float) -> tuple:
-    """SRE = ((mc - series) / series)^2 with the interval induced by the mc CI."""
+    """SRE = ((mc - series) / series)^2 with the interval induced by the mc CI;
+    NaN, with a (NaN, NaN) interval, against a zero series price."""
+    if series_price == 0.0:
+        return math.nan, (math.nan, math.nan)
     rel = (mc_price.value - series_price) / series_price
     lo_r = (mc_price.ci95[0] - series_price) / series_price
     hi_r = (mc_price.ci95[1] - series_price) / series_price

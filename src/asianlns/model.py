@@ -89,11 +89,15 @@ class MomentVector:
             raise ValidationError("moment vector length mismatch", module="model")
 
 
-def _check_degree(N: int) -> int:
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 0:
-        raise ValidationError(f"degree N must be a non-negative integer, got {N!r}",
-                              module="model")
-    return int(N)
+def _check_int(value, name: str, module: str, least: Optional[int] = 0) -> int:
+    """``value`` as an int; ValidationError unless it is an integer, not a
+    bool, and (when ``least`` is given) at least ``least``."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValidationError(f"{name} must be an integer{bound}, got {value!r}",
+                              module=module)
+    return int(value)
 
 
 def moments(params: MarketParams, N: int, kind: str = "raw",
@@ -121,7 +125,7 @@ def moments(params: MarketParams, N: int, kind: str = "raw",
         If any raw moment exceeds the double-precision range.  The relative
         kind is the supported path for large N.
     """
-    N = _check_degree(N)
+    N = _check_int(N, "degree N", "model")
     if kind not in ("raw", "relative"):
         raise ValidationError(f"unknown moment kind {kind!r}", module="model")
     if kind == "relative" and weight is None:

@@ -21,8 +21,8 @@ from scipy.special import ndtr
 from .basis import (CLOSED_FORM_ETA_MAX, OrthonormalBasis, WeightParams, default_weight,
                     orthonormal_basis)
 from .errors import ValidationError
-from .model import (TAU_RULE_OF_THUMB, MarketParams, MomentVector, geometric_price_closed_form,
-                    moments)
+from .model import (TAU_RULE_OF_THUMB, MarketParams, MomentVector, _check_int,
+                    geometric_price_closed_form, moments)
 
 MAX_ORDER = 40
 DEFAULT_ORDER = 20
@@ -191,10 +191,7 @@ def price(market: MarketParams, N: int = DEFAULT_ORDER,
     weight must refer to the normalized average and satisfy
     nu^2 > sigma^2 T / 2.  Every call builds ``diagnostics`` afresh.
     """
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 0:
-        raise ValidationError(f"order N must be a non-negative integer, got {N!r}",
-                              module="pricer")
-    N = int(N)
+    N = _check_int(N, "order N", "pricer")
     if N > MAX_ORDER:
         raise ValidationError(f"order N={N} exceeds the supported maximum {MAX_ORDER}",
                               module="pricer")

@@ -6,7 +6,9 @@ adaptive quadrature in log space, orthonormality checks from
 Gauss-Hermite quadrature, basis coefficients from a high-precision
 Cholesky factorization of the scaled Gram matrix, and the grid density
 estimators from their brute-force grid x paths formula on the library's
-paths.
+paths.  The basis polynomials, the weight's moments and the Gram identity
+defect, which the library never needs, are evaluated here from a basis's
+coefficients.
 """
 
 import math
@@ -64,11 +66,45 @@ def quad_payoff_norm_sq(r, T, mu, nu, strike):
     return disc2 * quad_weighted(lambda x: max(x - strike, 0.0) ** 2, mu, nu)
 
 
-def gauss_hermite_gram(evaluate, mu, nu, N, nodes=500):
+def weight_moment(weight, n):
+    """n-th moment s_n = exp(n mu + n^2 nu^2 / 2) of a log-normal weight."""
+    n = np.asarray(n, dtype=float)
+    return np.exp(n * weight.mu + 0.5 * n**2 * weight.nu2)
+
+
+def basis_evaluate(basis, x):
+    """All polynomials of an ``OrthonormalBasis`` at x > 0; shape
+    (N+1,) + x.shape.
+
+    Uses the scaled-monomial form exp(k (log x - mu) - k^2 nu^2 / 2),
+    which stays bounded on the bulk of the weight for any degree.
+    """
+    x = np.asarray(x, dtype=float)
+    k = np.arange(basis.N + 1, dtype=float)
+    lx = np.log(x).reshape(-1)
+    U = np.exp(np.outer(k, lx - basis.weight.mu) - 0.5 * (k**2)[:, None] * basis.weight.nu2)
+    return (basis.cbar @ U).reshape((basis.N + 1,) + x.shape)
+
+
+def gram_identity_error(basis):
+    """max |cbar Mbar cbar^T - I|, the orthonormality defect of a basis.
+
+    Mbar and the product are evaluated in np.longdouble (extended
+    precision where the platform has it): in double precision their
+    rounding alone reads 1.5e-8 at nu^2 = 0.125, N = 10, where the defect
+    of cbar itself is 5e-13.
+    """
+    k = np.arange(basis.N + 1, dtype=np.longdouble)
+    Mbar = np.exp(np.outer(k, k) * basis.weight.nu2)
+    C = basis.cbar.astype(np.longdouble)
+    return float(np.max(np.abs(C @ Mbar @ C.T - np.eye(basis.N + 1))))
+
+
+def gauss_hermite_gram(basis, nodes=500):
     """<b_i, b_j>_w for i,j <= N via Gauss-Hermite quadrature in log space."""
     t, w = roots_hermite(nodes)
-    x = np.exp(mu + math.sqrt(2.0) * nu * t)
-    B = evaluate(x)
+    x = np.exp(basis.weight.mu + math.sqrt(2.0) * basis.weight.nu * t)
+    B = basis_evaluate(basis, x)
     return (B * w) @ B.T / math.sqrt(math.pi)
 
 

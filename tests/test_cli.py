@@ -248,6 +248,16 @@ class TestErrboundCommand:
                 "value=0.6400000000000001 threshold=0.5\n") in err
         assert "sigma=0.3" not in err
 
+    def test_zero_series_price(self):
+        # far out of the money the series price is exactly 0, so the
+        # relative error is undefined: nan, not a crash
+        code, out, err = run_cli(["errbound", "--K", "100", "--sigma", "0.1",
+                                  "--paths", "2000", "--dt", "0.1", "--format", "csv"])
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert float(rows[0][header.index("price")]) == 0.0
+        assert math.isnan(float(rows[0][header.index("sqrt_sre")]))
+
     def test_bad_sigma_grid_exits_2(self):
         code, _, err = run_cli(["errbound", "--sigma-grid", "0.3,abc"])
         assert code == 2

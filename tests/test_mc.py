@@ -9,11 +9,11 @@ import pytest
 
 from asianlns import (MarketParams, McConfig, ValidationError, WeightParams,
                       default_weight, error_bound, geo_average_density,
-                      geometric_price_closed_form, iter_path_batches,
-                      likelihood_norm_sq, mean_average, moments, price, price_cv,
-                      density_cv, density_malliavin, simulate,
+                      geometric_price_closed_form, likelihood_norm_sq, mean_average,
+                      moments, price, price_cv, density_cv, simulate,
                       squared_relative_error)
-from asianlns.mc import CHUNK_PATHS, _arith_malliavin_weight, _geo_malliavin_weight
+from asianlns.mc import (CHUNK_PATHS, _arith_malliavin_weight, _geo_malliavin_weight,
+                         _map_chunks)
 
 from oracles import dense_ibp_density, quad_weighted
 
@@ -42,6 +42,15 @@ class TestConfig:
             McConfig(paths=0)
         with pytest.raises(ValidationError):
             McConfig(dt=0.0)
+        # a float seed would reuse the draws of its integer part
+        for name in ("paths", "seed", "batches"):
+            for bad in (1.5, 2.0, True, "3", None):
+                with pytest.raises(ValidationError) as exc:
+                    McConfig(**{name: bad})
+                assert exc.value.module == "mc"
+        c = McConfig(paths=np.int64(8), seed=np.uint32(5), batches=np.int32(2))
+        assert [type(v) for v in (c.paths, c.seed, c.batches)] == [int] * 3
+        assert (c.paths, c.seed, c.batches) == (8, 5, 2)
 
     def test_dt_longer_than_expiry(self):
         m = MarketParams(r=0.0, sigma=0.2, T=0.5, S0=1.0, K=1.0)
@@ -60,7 +69,7 @@ class TestSimulate:
     def test_chunk_layout(self):
         m = MarketParams(r=0.0, sigma=0.2, T=1.0, S0=1.0, K=1.0)
         cfg = McConfig(paths=CHUNK_PATHS + 17, dt=1e-2, seed=5)
-        parts = list(iter_path_batches(m, cfg))
+        parts = list(_map_chunks(m, cfg, lambda draw, c: draw(0)))
         assert [p.n for p in parts] == [CHUNK_PATHS, 17]
         assert simulate(m, cfg).n == cfg.paths
 
@@ -72,8 +81,12 @@ class TestSimulate:
         assert abs(b.average.mean() - m1) <= 3.0 * se
 
     def test_pathwise_am_gm(self, cases, sim_cache, light_mc):
-        b = sim_cache(cases[5].normalized(), light_mc)
-        assert np.min(b.average - b.geo_average) >= -1e-12
+        # at sigma = 1e-8 rounding alone would put Q above A on some paths
+        tiny = MarketParams(r=0.0, sigma=1e-8, T=1.0, S0=1.0, K=1.0)
+        for m, cfg in ((cases[5].normalized(), light_mc),
+                       (tiny, McConfig(paths=4096, dt=2e-2, seed=3))):
+            b = sim_cache(m, cfg)
+            assert np.all(b.geo_average <= b.average)
 
     def test_brownian_consistent_with_terminal(self, cases, sim_cache, light_mc):
         m = cases[5].normalized()
@@ -100,10 +113,9 @@ class TestSimulate:
         # changes none of their results
         s = simulate(m, cfg)
         e = price_cv(m, cfg)
-        dm, dc = density_malliavin(m, cfg, x), density_cv(m, cfg, x)
+        dc = density_cv(m, cfg, x)
         out = {"average": s.average, "terminal": s.terminal,
                "price": [e.value, e.std_error],
-               "malliavin": [dm.value, dm.std_error],
                "cv": [dc.value, dc.std_error, dc.variance_reduction]}
         for tilde in (False, True):
             est = likelihood_norm_sq(m, cfg, w, tilde_from_weight=tilde)
@@ -200,7 +212,7 @@ class TestDensityEstimators:
 
     def test_vanishes_at_origin_with_default_c(self, cases, light_mc):
         m = cases[5].normalized()
-        est = density_malliavin(m, light_mc, np.array([1e-6]))
+        est = density_cv(m, light_mc, np.array([1e-6]))
         assert est.value[0] == 0.0 and est.std_error[0] == 0.0
 
     def test_zero_mean_control_shift(self, cases, sim_cache, light_mc):
@@ -216,10 +228,10 @@ class TestDensityEstimators:
     def test_estimators_agree_at_mean(self, cases, full_mc):
         m = cases[3].normalized()
         x = np.array([mean_average(m)])
-        plain = density_malliavin(m, full_mc, x)
+        plain_value, plain_se, _ = dense_ibp_density(m, full_mc, x, control_variate=False)
         cv = density_cv(m, full_mc, x)
-        joint = math.hypot(plain.std_error[0], cv.std_error[0])
-        assert abs(plain.value[0] - cv.value[0]) <= 3.0 * joint
+        joint = math.hypot(plain_se[0], cv.std_error[0])
+        assert abs(plain_value[0] - cv.value[0]) <= 3.0 * joint
 
     def test_variance_reduction(self, cases, full_mc):
         m = cases[5].normalized()
@@ -231,7 +243,7 @@ class TestDensityEstimators:
 
     def test_grid_validation(self, cases, light_mc):
         with pytest.raises(ValidationError):
-            density_malliavin(cases[5].normalized(), light_mc, np.array([0.0, 1.0]))
+            density_cv(cases[5].normalized(), light_mc, np.array([0.0, 1.0]))
 
 
 class TestGridReduction:
@@ -260,19 +272,13 @@ class TestGridReduction:
             p.geo_average[[1, CHUNK_PATHS + 9]],              # in both chunks
             np.linspace(m1q, m1a, 6)[1:-1],                   # 1{x <= E[A]} only
             [0.5 * lo, 2.0 * hi]])                            # outside every sample
-        plain = density_malliavin(m, cfg, x)
         cv = density_cv(m, cfg, x)
-        value, se, _ = dense_ibp_density(m, cfg, x, control_variate=False)
-        self.assert_matches(plain.value, value)
-        self.assert_matches(plain.std_error, se)
         value, se, vr = dense_ibp_density(m, cfg, x, control_variate=True)
         self.assert_matches(cv.value, value)
         self.assert_matches(cv.std_error, se)
         self.assert_matches(cv.variance_reduction, vr)
         # outside every sample each term's set of paths is empty
-        for est in (plain, cv):
-            assert np.all(est.std_error[-2:] == 0.0)
-        assert np.all(plain.value[-2:] == 0.0)
+        assert np.all(cv.std_error[-2:] == 0.0)
         assert np.all(np.isnan(cv.variance_reduction[-2:]))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
@@ -298,12 +304,11 @@ class TestGridReduction:
         x = np.array([0.5, 1.0, 1.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ests = [density_malliavin(m, cfg, x), density_cv(m, cfg, x)]
+            est = density_cv(m, cfg, x)
             priced = price_cv(m, cfg)
-        for est in ests:
-            assert np.all(np.isfinite(est.value))
-            assert np.all(est.std_error == math.inf)
-        assert np.all(np.isnan(ests[1].variance_reduction))
+        assert np.all(np.isfinite(est.value))
+        assert np.all(est.std_error == math.inf)
+        assert np.all(np.isnan(est.variance_reduction))
         assert priced.std_error == math.inf
 
 
@@ -373,3 +378,7 @@ class TestHelpers:
                         n_effective=10, config=mc)
         _, (lo2, _hi2) = squared_relative_error(e2, 1.0)
         assert lo2 == 0.0
+        # a relative error against a zero price is undefined
+        e3 = McEstimate(value=0.0, std_error=0.0, ci95=(0.0, 0.0), n_effective=10, config=mc)
+        sre3, (lo3, hi3) = squared_relative_error(e3, 0.0)
+        assert math.isnan(sre3) and math.isnan(lo3) and math.isnan(hi3)
