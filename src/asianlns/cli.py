@@ -10,14 +10,15 @@ Machine-readable output: ``--format csv`` writes an RFC-4180 table with a
 header row and 17-significant-digit numbers (exact double round-trip);
 ``--format json`` emits one object {config, results, diagnostics} whose
 config block, fed back as flags, reproduces the numeric output bit for bit
-at a fixed seed.  Its ``diagnostics`` are the records of
+at a fixed seed; it is strict JSON, with null for a NaN or infinite value.
+Its ``diagnostics`` are the records of
 ``SeriesApproximation.diagnostics`` behind their context keys, plus
 ``failed`` and ``norm_skipped`` records with a ``message``.  Table and csv
 formats echo the resolved configuration (including defaulted weight
 parameters) and one ``# key=value ...`` line per record to stderr.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure (the failing
-module is named on stderr).
+module is named on stderr).  ``--output`` is written only on success.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ def _mc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths", type=int, default=200_000, help="Monte-Carlo paths")
     p.add_argument("--dt", type=float, default=1e-3, help="simulation step (years)")
     p.add_argument("--seed", type=int, default=0, help="reproducibility seed")
-    p.add_argument("--batches", type=int, default=0,
-                   help="worker threads (0 = ASIANLNS_THREADS, else every usable "
-                        "core); does not affect results")
 
 
 def _output_args(p: argparse.ArgumentParser) -> None:
@@ -128,14 +126,16 @@ def _market_from(ns) -> MarketParams:
 
 
 def _mc_config(ns) -> McConfig:
-    return McConfig(paths=ns.paths, dt=ns.dt, seed=ns.seed, batches=ns.batches)
+    return McConfig(paths=ns.paths, dt=ns.dt, seed=ns.seed)
 
 
 def _emit(doc: dict, columns, rows, ns, stderr) -> str:
     """Render results in the requested format; returns the payload string."""
     fmt = ns.format
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        # strict JSON has no NaN or Infinity: the parser's hook turns each into null
+        doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     print("# config: " + json.dumps(doc["config"]), file=stderr)
     for rec in doc["diagnostics"]:
@@ -338,11 +338,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
 
+    out = io.StringIO() if ns.output else stdout
     try:
-        if ns.output:
-            with open(ns.output, "w", newline="") as fh:
-                return _COMMANDS[ns.command](ns, fh, stderr)
-        return _COMMANDS[ns.command](ns, stdout, stderr)
+        code = _COMMANDS[ns.command](ns, out, stderr)
     except ValidationError as exc:
         print(f"error (invalid input, module {exc.module or 'cli'}): {exc}",
               file=stderr)
@@ -351,6 +349,10 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         print(f"error (numerical failure in module {exc.module or 'unknown'}): {exc}",
               file=stderr)
         return 3
+    if ns.output:  # written only now, so a failed command leaves the file as it was
+        with open(ns.output, "w", newline="") as fh:
+            fh.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

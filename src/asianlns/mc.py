@@ -9,9 +9,10 @@ error bound.
 
 Reproducibility contract: paths are generated in fixed-size chunks, each
 from its own counter-based Philox substream keyed by (seed, stream, chunk).
-The ``batches`` knob only sets how many worker threads run the chunks (by
-default ``ASIANLNS_THREADS`` or else every usable core); results are
-bit-identical for a given (seed, paths, dt) regardless of it.  One runner,
+The chunks run on every core the process may use (``os.sched_getaffinity``),
+at most one thread per chunk; restrict them with ``taskset`` or
+``os.sched_setaffinity``.  Results are bit-identical for a given
+(seed, paths, dt) whatever the thread count.  One runner,
 ``_map_chunks``, serves every consumer: the worker for a chunk simulates
 its stream(s) and reduces them to what the consumer asks for, which for
 every estimator is a list of (n, mean, M2) triples that ``_chunk_stats``
@@ -33,7 +34,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -47,22 +47,11 @@ from .pricer import SeriesApproximation
 #: changes which substream drives which path, hence the stream of numbers)
 CHUNK_PATHS = 32768
 
-THREADS_ENV_VAR = "ASIANLNS_THREADS"
-
 
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _default_batches() -> int:
-    """A positive integer ``ASIANLNS_THREADS``, else the usable core count."""
-    try:
-        threads = int(os.environ.get(THREADS_ENV_VAR, ""))
-    except ValueError:
-        threads = 0
-    return threads if threads > 0 else _usable_cores()
 
 
 @dataclass(frozen=True)
@@ -72,15 +61,17 @@ class McConfig:
     paths: int = 200_000
     dt: float = 1e-3
     seed: int = 0
-    batches: int = 0  # worker threads; 0 -> ASIANLNS_THREADS, else the usable cores
 
     def __post_init__(self):
-        for name, least in (("paths", 1), ("seed", None), ("batches", 0)):
+        for name, least in (("paths", 1), ("seed", None)):
             object.__setattr__(self, name, _check_int(getattr(self, name), name, "mc", least))
         if not (self.dt > 0.0) or not math.isfinite(self.dt):
             raise ValidationError(f"dt must be > 0, got {self.dt}", module="mc")
-        if self.batches == 0:
-            object.__setattr__(self, "batches", _default_batches())
+
+    @property
+    def batches(self) -> int:
+        """Worker threads the chunks may run on: the usable core count."""
+        return _usable_cores()
 
 
 def _std_error(n: int, m2):
@@ -167,13 +158,14 @@ def _steps_for(market: MarketParams, config: McConfig) -> tuple:
     return steps, market.T / steps
 
 
-def _map_chunks(market: MarketParams, config: McConfig, work) -> Iterator:
-    """Yield ``work(draw, c)`` for every chunk c, in chunk order.
+def _map_chunks(market: MarketParams, config: McConfig, work) -> list:
+    """``work(draw, c)`` for every chunk c, as a list in chunk order.
 
     ``draw(stream)`` simulates chunk c of that stream.  The chunks run on
-    min(batches, chunks) threads of one pool that lives for this call; each
-    task does its whole chunk, simulation and reduction, so a worker holds
-    one chunk's arrays at a time and hands back only what ``work`` returns.
+    min(usable cores, chunks) threads of one pool that lives for this call;
+    each task does its whole chunk, simulation and reduction, so a worker
+    holds one chunk's arrays at a time and hands back only what ``work``
+    returns.
     """
     steps, dt = _steps_for(market, config)
     nchunks = (config.paths + CHUNK_PATHS - 1) // CHUNK_PATHS
@@ -183,17 +175,13 @@ def _map_chunks(market: MarketParams, config: McConfig, work) -> Iterator:
         return work(lambda stream: _simulate_chunk(
             market, steps, dt, n, _chunk_rng(config.seed, stream, c)), c)
 
-    workers = min(config.batches, nchunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run, range(nchunks))
-    else:
-        yield from map(run, range(nchunks))
+    with ThreadPoolExecutor(max_workers=min(config.batches, nchunks)) as pool:
+        return list(pool.map(run, range(nchunks)))
 
 
 def simulate(market: MarketParams, config: McConfig, stream: int = 0) -> PathBatch:
     """Simulate all paths and concatenate the terminal samples."""
-    parts = list(_map_chunks(market, config, lambda draw, c: draw(stream)))
+    parts = _map_chunks(market, config, lambda draw, c: draw(stream))
     return PathBatch(terminal=np.concatenate([p.terminal for p in parts]),
                      average=np.concatenate([p.average for p in parts]),
                      geo_average=np.concatenate([p.geo_average for p in parts]),

@@ -122,6 +122,11 @@ class TestBenchCommand:
         for r in rows:
             assert float(r[-1]) < 100.0
 
+    def test_batches_flag_is_gone(self, capsys):
+        # the worker count follows the CPU affinity; no flag sets it
+        assert main(["bench", "--batches", "2"]) == 2
+        assert "--batches" in capsys.readouterr().err
+
     def test_table_shows_reference_block(self):
         _, out, _ = run_cli(["bench"])
         assert "reference values (external fixture data)" in out
@@ -311,6 +316,44 @@ class TestDiagnosticRecords:
                 "threshold=None message=no norm\n") in err
         header, rows = parse_csv(out)
         assert math.isnan(float(rows[0][header.index("bound")]))
+
+
+def strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestOutputContract:
+    def test_json_writes_nonfinite_as_null(self, monkeypatch):
+        _, out, _ = run_cli(["price", "--N", "0", "--format", "json"])
+        assert strict_json(out)["results"][0]["convergence_diag"] is None
+        _, out, _ = run_cli(["errbound", "--K", "100", "--sigma", "0.1",
+                             "--paths", "2000", "--dt", "0.1", "--format", "json"])
+        assert strict_json(out)["results"][0]["sqrt_sre"] is None
+
+        import asianlns.cli as cli
+        from asianlns import ValidationError
+
+        def refuse(*args, **kwargs):
+            raise ValidationError("no norm", module="mc")
+
+        monkeypatch.setattr(cli, "likelihood_norm_sq", refuse)
+        _, out, _ = run_cli(["errbound", "--sigma", ".3", "--paths", "4096",
+                             "--dt", "1e-2", "--format", "json"])
+        row = strict_json(out)["results"][0]
+        assert [row[c] for c in ("eps_ell", "eps_ell_se", "bound", "bound_hi")] == [None] * 4
+        assert row["price"] > 0.0
+
+    def test_failed_command_leaves_output_untouched(self, tmp_path):
+        kept, fresh = tmp_path / "keep.csv", tmp_path / "fresh.csv"
+        kept.write_text("x\n")
+        for target in (kept, fresh):
+            code, _, err = run_cli(["price", "--N", "99", "--output", str(target)])
+            assert code == 2 and "module pricer" in err
+        assert kept.read_text() == "x\n"
+        assert not fresh.exists()
 
 
 class TestEntryPoints:

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo engine: simulation, estimators, error bound."""
 
+import dataclasses
 import math
 import os
 import warnings
@@ -25,17 +26,14 @@ CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 class TestConfig:
     def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("ASIANLNS_THREADS", raising=False)
         c = McConfig(seed=3)
         assert c.paths == 200_000 and c.dt == 1e-3 and c.batches == CORES
-
-    def test_env_batches(self, monkeypatch):
-        monkeypatch.setenv("ASIANLNS_THREADS", "4")
-        assert McConfig(seed=0).batches == 4
-        assert McConfig(seed=0, batches=3).batches == 3
-        for bad in ("junk", "0"):
-            monkeypatch.setenv("ASIANLNS_THREADS", bad)
-            assert McConfig(seed=0).batches == CORES
+        assert [f.name for f in dataclasses.fields(McConfig)] == ["paths", "dt", "seed"]
+        # the worker count is the CPU affinity, not a setting
+        with pytest.raises(TypeError):
+            McConfig(batches=2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert McConfig().batches == 1
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -43,14 +41,14 @@ class TestConfig:
         with pytest.raises(ValidationError):
             McConfig(dt=0.0)
         # a float seed would reuse the draws of its integer part
-        for name in ("paths", "seed", "batches"):
+        for name in ("paths", "seed"):
             for bad in (1.5, 2.0, True, "3", None):
                 with pytest.raises(ValidationError) as exc:
                     McConfig(**{name: bad})
                 assert exc.value.module == "mc"
-        c = McConfig(paths=np.int64(8), seed=np.uint32(5), batches=np.int32(2))
-        assert [type(v) for v in (c.paths, c.seed, c.batches)] == [int] * 3
-        assert (c.paths, c.seed, c.batches) == (8, 5, 2)
+        c = McConfig(paths=np.int64(8), seed=np.uint32(5))
+        assert [type(v) for v in (c.paths, c.seed)] == [int] * 2
+        assert (c.paths, c.seed) == (8, 5)
 
     def test_dt_longer_than_expiry(self):
         m = MarketParams(r=0.0, sigma=0.2, T=0.5, S0=1.0, K=1.0)
@@ -95,22 +93,26 @@ class TestSimulate:
         np.testing.assert_allclose(np.log(b.terminal), drift + m.sigma * b.brownian,
                                    atol=1e-10)
 
-    def test_deterministic_across_batch_parallelism(self):
+    def test_deterministic_across_batch_parallelism(self, monkeypatch):
         # fewer chunks than workers (2 chunks) and more (3 chunks on 2 threads)
         m = MarketParams(r=0.05, sigma=0.4, T=1.0, S0=1.0, K=1.0)
         x = np.linspace(0.6, 1.6, 20)
         w = default_weight(m, mean_average(m))
         for paths in (3 * CHUNK_PATHS // 2, 5 * CHUNK_PATHS // 2):
-            runs = [self._estimates(m, McConfig(paths=paths, dt=1e-2, seed=9, batches=b),
-                                    x, w) for b in (1, 2, 8)]
+            cfg = McConfig(paths=paths, dt=1e-2, seed=9)
+            runs = []
+            for workers in (1, 2, 8):
+                monkeypatch.setattr("asianlns.mc._usable_cores", lambda: workers)
+                assert cfg.batches == workers
+                runs.append(self._estimates(m, cfg, x, w))
             for run in runs[1:]:
                 for name, got in run.items():
                     assert np.array_equal(got, runs[0][name], equal_nan=True), (paths, name)
 
     @staticmethod
     def _estimates(m, cfg, x, w) -> dict:
-        # the estimators reduce chunk by chunk in chunk order, so batches
-        # changes none of their results
+        # the estimators reduce chunk by chunk in chunk order, so the worker
+        # count changes none of their results
         s = simulate(m, cfg)
         e = price_cv(m, cfg)
         dc = density_cv(m, cfg, x)
