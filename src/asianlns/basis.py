@@ -45,7 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import MarketParams, _check_int
+from .model import MarketParams, _check_int, _check_positive
 
 #: largest rounding estimate eta_n of a kept basis degree: the coefficient
 #: noise it allows stays an order of magnitude below the 1e-4 price
@@ -95,10 +95,8 @@ def default_weight(params: MarketParams, first_moment: float) -> WeightParams:
 
 
 def weight_density(weight: WeightParams, x) -> np.ndarray:
-    """Log-normal density of the weight at x > 0 (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValidationError("weight density requires x > 0", module="basis")
+    """Log-normal density of the weight at finite x > 0 (vectorized)."""
+    x = _check_positive(x, "weight density", "basis")
     z = (np.log(x) - weight.mu) / weight.nu
     return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * weight.nu * x)
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import (MarketParams, _check_int, _geo_law, geometric_price_closed_form,
-                    mean_average)
+from .model import (MarketParams, _check_int, _check_positive, _geo_law,
+                    geometric_price_closed_form, mean_average)
 from .basis import WeightParams, weight_density
 from .pricer import SeriesApproximation
 
@@ -308,10 +308,7 @@ class DensityGridEstimate:
 
 
 def _check_grid(x_grid) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValidationError("density grid must be positive and finite", module="mc")
-    return x
+    return np.atleast_1d(_check_positive(x_grid, "density grid", "mc"))
 
 
 def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEstimate:

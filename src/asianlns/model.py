@@ -100,6 +100,16 @@ def _check_int(value, name: str, module: str, least: Optional[int] = 0) -> int:
     return int(value)
 
 
+def _check_positive(x, what: str, module: str) -> np.ndarray:
+    """``x`` as a float array; ValidationError unless every entry is finite
+    and > 0.  A NaN makes the minimum NaN, which fails ``> 0``; ``initial``
+    lets an empty array pass."""
+    x = np.asarray(x, dtype=float)
+    if not (x.min(initial=1.0) > 0.0 and x.max(initial=1.0) < np.inf):
+        raise ValidationError(f"{what} requires finite x > 0", module=module)
+    return x
+
+
 def moments(params: MarketParams, N: int, kind: str = "raw",
             weight: Optional["WeightParams"] = None) -> MomentVector:
     """Moments of A_T up to degree N via the action of the matrix exponential.

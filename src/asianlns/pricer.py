@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from scipy.special import ndtr
 from .basis import (CLOSED_FORM_ETA_MAX, OrthonormalBasis, WeightParams, default_weight,
                     orthonormal_basis)
 from .errors import ValidationError
-from .model import (TAU_RULE_OF_THUMB, MarketParams, MomentVector, _check_int,
+from .model import (TAU_RULE_OF_THUMB, MarketParams, MomentVector, _check_int, _check_positive,
                     geometric_price_closed_form, moments)
 
 MAX_ORDER = 40
@@ -105,22 +105,34 @@ class DensityApproximant:
     Approximates the density of the *normalized* average A_T / S0.  It is
     evaluated as the signed log-normal mixture
     sum_k coef_k LN(x; mu + k nu^2, nu) with coef = cbar^T ell (see the
-    ``basis`` module), so no term overflows in the tails.  Its mass is
+    ``basis`` module).  The centers a_k = (mu + k nu^2) / nu and the scales
+    scale_k = coef_k / (sqrt(2 pi) nu) are computed once, when the
+    approximant is built; a call is then one fused pass over a single
+    (terms, points) array, scale @ exp(-(a_k - log(x) / nu)^2 / 2) / x, with
+    one row per term so that every in-place step runs along the points.
+    Every exponent is <= 0, so no term overflows in the tails.  Its mass is
     sum_k coef_k = ell_0 = 1, but it may go negative in the tails; that is
     expected and not an error.
     """
 
     weight: WeightParams
     coef: np.ndarray = field(repr=False)
+    a: np.ndarray = field(init=False, repr=False)
+    scale: np.ndarray = field(init=False, repr=False)
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise ValidationError("density evaluation requires x > 0", module="pricer")
+    def __post_init__(self):
         w = self.weight
         k = np.arange(self.coef.size, dtype=float)
-        z = (np.log(x)[..., None] - w.mu - k * w.nu2) / w.nu
-        return (np.exp(-0.5 * z * z) @ self.coef) / (math.sqrt(2.0 * math.pi) * w.nu * x)
+        object.__setattr__(self, "a", (w.mu + k * w.nu2) / w.nu)
+        object.__setattr__(self, "scale", self.coef / (math.sqrt(2.0 * math.pi) * w.nu))
+
+    def __call__(self, x) -> np.ndarray:
+        x = _check_positive(x, "density evaluation", "pricer")
+        z = self.a[:, None] - np.log(x).ravel() / self.weight.nu
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        return (self.scale @ z).reshape(x.shape) / x
 
 
 @dataclass(frozen=True)
@@ -165,8 +177,14 @@ class SeriesApproximation:
         """eps_F at every truncation order 0..N (non-increasing)."""
         return self.payoff_norm_sq - np.cumsum(self.f**2)
 
-    def density(self) -> DensityApproximant:
+    @cached_property
+    def _density(self) -> DensityApproximant:
         return DensityApproximant(weight=self.weight, coef=self.ell @ self.basis.cbar)
+
+    def density(self) -> DensityApproximant:
+        """The series density; built on the first call, which ``price`` does
+        not make, and the same approximant on every later one."""
+        return self._density
 
 
 @lru_cache(maxsize=128)

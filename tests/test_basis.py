@@ -83,6 +83,9 @@ class TestWeightDensity:
             weight_density(WeightParams(mu=0.0, nu=1.0), 0.0)
         with pytest.raises(ValidationError):
             weight_density(WeightParams(mu=0.0, nu=1.0), np.array([1.0, -2.0]))
+        for bad in (np.nan, np.inf, np.array([1.0, np.nan]), [1.0, np.inf]):
+            with pytest.raises(ValidationError):
+                weight_density(WeightParams(mu=0.0, nu=1.0), bad)
 
 
 class TestOrthonormalBasis:

@@ -364,7 +364,9 @@ class TestEntryPoints:
 
     def test_import_leaves_out_scipy_stats(self):
         # importing scipy.stats costs more than half a second and ~36 MB;
-        # the library needs only scipy.special's normal CDF and quantile
+        # the library needs only scipy.special's normal CDF and quantile and
+        # scipy.sparse.linalg's expm_multiply (model.py), itself most of the
+        # cost of importing the library's scipy parts
         res = subprocess.run(
             [sys.executable, "-c",
              "import asianlns, asianlns.cli, sys; print('scipy.stats' in sys.modules)"],

@@ -353,8 +353,35 @@ class TestDensityApprox:
 
     def test_rejects_nonpositive(self, cases):
         ap = price(cases[3], 4)
-        with pytest.raises(ValidationError):
-            ap.density()(0.0)
+        for bad in (0.0, -1.0, np.nan, np.inf, np.array([1.0, np.nan]), [1.0, np.inf]):
+            with pytest.raises(ValidationError):
+                ap.density()(bad)
+
+    @pytest.mark.parametrize("N", [20, 40])
+    def test_tails_and_shapes(self, cases, N):
+        # every mixture term is exp of a value <= 0, so the density stays
+        # finite with no floating-point warning out to the ends of the doubles
+        tails = np.array([1e-300, 1e-8, 1e8, 1e300])
+        for m in cases.values():
+            ap = price(m, N)
+            dens = ap.density()
+            assert dens is ap.density()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.all(np.isfinite(dens(tails)))
+            x = np.linspace(0.5, 2.0, 6)
+            flat = dens(x)
+            assert flat.shape == (6,)
+            for arg, shape in ((1.0, ()), (np.float64(1.0), ()), (np.array(1.0), ()),
+                               ([1.0, 2.0], (2,)), (np.array([]), (0,)),
+                               (np.ones((0, 3)), (0, 3))):
+                assert np.shape(dens(arg)) == shape
+            # the same values whatever the shape, up to the rounding of the
+            # signed mixture's sum (the bound of test_log_normal_mixture)
+            tol = 2e-8 * np.abs(flat).max()
+            np.testing.assert_allclose(dens(x.reshape(3, 2)), flat.reshape(3, 2),
+                                       rtol=0, atol=tol)
+            assert float(dens(x[2])) == pytest.approx(flat[2], rel=0, abs=tol)
 
 
 def _geometric_call(r, sigma, T, K):
