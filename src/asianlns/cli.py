@@ -29,9 +29,9 @@ import io
 import json
 import sys
 import time
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import __version__
 from .basis import weight_density
@@ -248,7 +248,7 @@ def cmd_density(ns, stdout, stderr) -> int:
     diagnostics = _records(approx) + (_records(approx4) if ns.N != 4 else [])
 
     w = approx.weight
-    z = float(ndtri(0.5 + 0.5 * _GRID_MASS))
+    z = NormalDist().inv_cdf(0.5 + 0.5 * _GRID_MASS)
     gmin = ns.grid_min if ns.grid_min is not None else float(np.exp(w.mu - z * w.nu))
     gmax = ns.grid_max if ns.grid_max is not None else float(np.exp(w.mu + z * w.nu))
     if not (0.0 < gmin < gmax) or ns.grid_points < 2:

@@ -364,15 +364,25 @@ class TestEntryPoints:
 
     def test_import_leaves_out_scipy_stats(self):
         # importing scipy.stats costs more than half a second and ~36 MB;
-        # the library needs only scipy.special's normal CDF and quantile and
-        # scipy.sparse.linalg's expm_multiply (model.py), itself most of the
-        # cost of importing the library's scipy parts
+        # the library needs no scipy at all (see test_runtime_leaves_out_scipy)
         res = subprocess.run(
             [sys.executable, "-c",
              "import asianlns, asianlns.cli, sys; print('scipy.stats' in sys.modules)"],
             capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
+
+    def test_runtime_leaves_out_scipy(self):
+        # numpy is the only runtime dependency: a price, its density and an
+        # MC price load no scipy module
+        code = ("import sys, numpy as np, asianlns, asianlns.cli\n"
+                "m = asianlns.benchmark_cases()[4]\n"
+                "asianlns.price(m, 20).density()(np.linspace(0.5, 2.0, 5))\n"
+                "asianlns.price_cv(m, asianlns.McConfig(paths=512, dt=0.05, seed=1))\n"
+                "print([k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')])")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
     def test_module_invocation(self):
         res = subprocess.run([sys.executable, "-m", "asianlns.cli", "--version"],

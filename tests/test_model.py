@@ -11,7 +11,7 @@ from asianlns import (MarketParams, MomentOverflowError, ValidationError,
                       mean_average, moments, price)
 from asianlns.basis import default_weight
 
-from oracles import rk4_moments, weight_moment
+from oracles import mp_relative_moments, rk4_moments, weight_moment
 
 
 class TestMarketParams:
@@ -93,6 +93,19 @@ class TestMoments:
             raw = moments(norm, 20).values
             rel = moments(norm, 20, kind="relative", weight=w).values
             np.testing.assert_allclose(rel * weight_moment(w, np.arange(21)), raw, rtol=1e-12)
+
+    def test_relative_vs_taylor_oracle(self, cases):
+        # the 50-digit oracle's degree-20 moments are the first 21 of its
+        # degree-40 ones, since the generator is lower triangular
+        markets = list(cases.values()) + [MarketParams(0.02, 0.01, 1.0, 1.0, 1.0),
+                                          MarketParams(0.05, 1.2, 1.0, 1.0, 1.0)]
+        for m in markets:
+            norm = m.normalized()
+            w = default_weight(norm, mean_average(norm))
+            want = mp_relative_moments(m.r, m.sigma, m.T, w.mu, w.nu2, 40)
+            for N in (20, 40):
+                got = moments(norm, N, kind="relative", weight=w).values
+                np.testing.assert_allclose(got, want[:N + 1], rtol=1e-11, err_msg=f"{m} N={N}")
 
     def test_unit_zeroth_moment(self, cases):
         for m in cases.values():
