@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from statistics import NormalDist
@@ -43,6 +44,9 @@ from .model import MarketParams
 from .pricer import clear_kernel_cache, price
 
 _FLOAT_FMT = "%.17g"
+# table and csv headers that name a JSON result key differently
+_RESULT_KEY = {"conv_diag": "convergence_diag",
+               "LNS10": "lns10", "LNS15": "lns15", "LNS20": "lns20"}
 _GRID_MASS = 0.99999  # central weight mass covered by the default density grid
 
 
@@ -129,14 +133,20 @@ def _mc_config(ns) -> McConfig:
     return McConfig(paths=ns.paths, dt=ns.dt, seed=ns.seed)
 
 
-def _emit(doc: dict, columns, rows, ns, stderr) -> str:
-    """Render results in the requested format; returns the payload string."""
+def _emit(doc: dict, columns, ns, stderr) -> str:
+    """Render results in the requested format; returns the payload string.
+
+    The table and csv rows hold ``columns`` of each JSON result, through
+    ``_RESULT_KEY`` where a header differs from its key; a key a result
+    lacks (a failed bench case) is NaN."""
     fmt = ns.format
     if fmt == "json":
         # strict JSON has no NaN or Infinity: the parser's hook turns each into null
         doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
+    rows = [[res.get(_RESULT_KEY.get(c, c), math.nan) for c in columns]
+            for res in doc["results"]]
     print("# config: " + json.dumps(doc["config"]), file=stderr)
     for rec in doc["diagnostics"]:
         print("# " + " ".join(f"{k}={v}" for k, v in rec.items()), file=stderr)
@@ -168,10 +178,9 @@ def cmd_price(ns, stdout, stderr) -> int:
               "S0": market.S0, "K": market.K, "N": ",".join(map(str, orders)),
               "format": ns.format}
 
-    diagnostics, rows, results = [], [], []
+    diagnostics, results = [], []
     for N in orders:
         ap = price(market, N)
-        rows.append((N, ap.price, ap.eps_payoff, ap.convergence_diagnostic()))
         results.append({"N": N, "price": ap.price, "eps_F": ap.eps_payoff,
                         "convergence_diag": ap.convergence_diagnostic(),
                         "resolvable_degree": ap.basis.resolvable_degree})
@@ -179,7 +188,7 @@ def cmd_price(ns, stdout, stderr) -> int:
     config.update(weight_mu=ap.weight.mu, weight_nu2=ap.weight.nu2)
 
     doc = {"config": config, "results": results, "diagnostics": diagnostics}
-    stdout.write(_emit(doc, ("N", "price", "eps_F", "conv_diag"), rows, ns, stderr))
+    stdout.write(_emit(doc, ("N", "price", "eps_F", "conv_diag"), ns, stderr))
     return 0
 
 
@@ -194,37 +203,31 @@ def cmd_bench(ns, stdout, stderr) -> int:
     if ns.timings:
         columns += ["ms"]
 
-    diagnostics, rows, results = [], [], []
+    diagnostics, results = [], []
     for idx, market in enumerate(benchmark_cases(), start=1):
-        row = [idx, market.r, market.sigma, market.T, market.S0, market.K]
-        res = {"case": idx}
+        res = {"case": idx, "r": market.r, "sigma": market.sigma, "T": market.T,
+               "S0": market.S0, "K": market.K}
         try:
             for ap in [price(market, N) for N in (10, 15, 20)]:
-                row.append(ap.price)
                 res[f"lns{ap.N}"] = ap.price
                 diagnostics += _records(ap, case=idx)
             if ns.with_mc:
                 est = price_cv(market, mc_cfg)
-                row += [est.ci95[0], est.ci95[1]]
                 res.update(mc_lo=est.ci95[0], mc_hi=est.ci95[1],
                            mc_se=est.std_error)
             if ns.timings:
                 clear_kernel_cache()
                 t0 = time.perf_counter()
                 price(market, 20)
-                ms = (time.perf_counter() - t0) * 1e3
-                row += [ms]
-                res["ms"] = ms
+                res["ms"] = (time.perf_counter() - t0) * 1e3
         except NumericalError as exc:
             diagnostics.append({"case": idx, "code": "failed", "stage": exc.module or "unknown",
                                 "value": None, "threshold": None, "message": str(exc)})
-            row += [float("nan")] * (len(columns) - len(row))
             res["error"] = str(exc)
-        rows.append(tuple(row))
         results.append(res)
 
     doc = {"config": config, "results": results, "diagnostics": diagnostics}
-    stdout.write(_emit(doc, columns, rows, ns, stderr))
+    stdout.write(_emit(doc, columns, ns, stderr))
     if ns.format == "table":
         stdout.write("\nreference values (external fixture data):\n")
         for idx in range(1, 8):
@@ -263,21 +266,15 @@ def cmd_density(ns, stdout, stderr) -> int:
               "weight_mu": w.mu, "weight_nu2": w.nu2,
               "scale": "densities are for the normalized average A_T / S0"}
 
-    g0 = weight_density(w, x)
-    g4 = approx4.density()(x)
-    gN = approx.density()(x)
-    columns = ["x", "g0", "g4", f"g{ns.N}"]
-    cols = [x, g0, g4, gN]
+    cols = {"x": x, "g0": weight_density(w, x), "g4": approx4.density()(x),
+            f"g{ns.N}": approx.density()(x)}  # one g0 or g4 column at N = 0 or 4
     if ns.with_mc:
         est = density_cv(market.normalized(), _mc_config(ns), x)
-        cols += [est.value, est.std_error]
-        columns += ["mc_density", "mc_se"]
+        cols.update(mc_density=est.value, mc_se=est.std_error)
 
-    rows = [tuple(float(col[i]) for col in cols) for i in range(len(x))]
-    results = [{c: float(col[i]) for c, col in zip(columns, cols)}
-               for i in range(len(x))]
+    results = [{c: float(col[i]) for c, col in cols.items()} for i in range(len(x))]
     doc = {"config": config, "results": results, "diagnostics": diagnostics}
-    stdout.write(_emit(doc, columns, rows, ns, stderr))
+    stdout.write(_emit(doc, list(cols), ns, stderr))
     return 0
 
 
@@ -292,9 +289,7 @@ def cmd_errbound(ns, stdout, stderr) -> int:
               "sigma_grid": ",".join(repr(s) for s in sigmas) if ns.sigma_grid else None,
               "paths": ns.paths, "dt": ns.dt, "seed": ns.seed, "format": ns.format}
 
-    columns = ["sigma", "N", "price", "eps_F", "eps_ell", "eps_ell_se",
-               "bound", "bound_hi", "mc_price", "mc_se", "sqrt_sre"]
-    diagnostics, rows, results = [], [], []
+    diagnostics, results = [], []
     for sg in sigmas:
         mkt = MarketParams(r=market.r, sigma=sg, T=market.T, S0=market.S0, K=market.K)
         approx = price(mkt, ns.N)
@@ -307,21 +302,18 @@ def cmd_errbound(ns, stdout, stderr) -> int:
             norm_est = None
         est = price_cv(mkt, mc_cfg)
         sre, _ = squared_relative_error(est, approx.price)
-        if norm_est is None:
-            row = (sg, ns.N, approx.price, approx.eps_payoff, float("nan"),
-                   float("nan"), float("nan"), float("nan"),
-                   est.value, est.std_error, float(np.sqrt(sre)))
-        else:
+        res = {"sigma": sg, "N": ns.N, "price": approx.price, "eps_F": approx.eps_payoff,
+               "eps_ell": math.nan, "eps_ell_se": math.nan, "bound": math.nan,
+               "bound_hi": math.nan, "mc_price": est.value, "mc_se": est.std_error,
+               "sqrt_sre": math.sqrt(sre)}
+        if norm_est is not None:
             eb = error_bound(approx, norm_est)
-            row = (sg, ns.N, approx.price, eb.eps_F, eb.eps_ell,
-                   norm_est.std_error, eb.value, eb.ci95[1],
-                   est.value, est.std_error, float(np.sqrt(sre)))
-        rows.append(row)
-        results.append({c: (int(v) if c == "N" else float(v))
-                        for c, v in zip(columns, row)})
+            res.update(eps_F=eb.eps_F, eps_ell=eb.eps_ell, eps_ell_se=norm_est.std_error,
+                       bound=eb.value, bound_hi=eb.ci95[1])
+        results.append(res)
 
     doc = {"config": config, "results": results, "diagnostics": diagnostics}
-    stdout.write(_emit(doc, columns, rows, ns, stderr))
+    stdout.write(_emit(doc, list(results[0]), ns, stderr))
     return 0
 
 

@@ -9,23 +9,19 @@ from __future__ import annotations
 
 
 class AsianLnsError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``module`` names the failing one."""
+
+    def __init__(self, message: str, module: str = ""):
+        super().__init__(message)
+        self.module = module
 
 
 class ValidationError(AsianLnsError, ValueError):
     """Invalid user input (parameter domain violations, mismatched shapes)."""
 
-    def __init__(self, message: str, module: str = ""):
-        super().__init__(message)
-        self.module = module
-
 
 class NumericalError(AsianLnsError, ArithmeticError):
     """A computation failed for numerical reasons (overflow, conditioning)."""
-
-    def __init__(self, message: str, module: str = ""):
-        super().__init__(message)
-        self.module = module
 
 
 class MomentOverflowError(NumericalError):

@@ -291,7 +291,7 @@ def _split_sums(level: np.ndarray, x: np.ndarray, *weights) -> tuple:
 
 def geo_average_density(market: MarketParams, x) -> np.ndarray:
     """Closed-form log-normal density of the geometric average Q_T."""
-    m, s = _geo_law(market)
+    m, s, _ = _geo_law(market)
     return weight_density(WeightParams(mu=m, nu=s), x)
 
 
@@ -335,8 +335,7 @@ def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEst
     in double.
     """
     x = _check_grid(x_grid)
-    mq, sq = _geo_law(market)
-    m1a, m1q = mean_average(market), math.exp(mq + 0.5 * sq * sq)
+    m1a, m1q = mean_average(market), _geo_law(market)[2]
     qx = geo_average_density(market, x)
     low_a, low_q = x <= m1a, x <= m1q
 
@@ -389,8 +388,7 @@ def likelihood_norm_sq(market: MarketParams, config: McConfig, weight: WeightPar
         raise ValidationError(
             f"nu^2={weight.nu2:.4g} <= sigma^2 T / 2: ||ell||_w^2 is infinite",
             module="mc")
-    mq, sq = _geo_law(market)
-    m1a, m1q = mean_average(market), math.exp(mq + 0.5 * sq * sq)
+    m1a, m1q = mean_average(market), _geo_law(market)[2]
 
     def stats(draw, c):
         p = draw(0)

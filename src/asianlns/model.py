@@ -10,9 +10,10 @@ of order one.
 
 The exponential is taken in plain numpy without cancellation (Xue and Ye,
 Numer. Math. 110, 2008): shifted by a multiple of the identity, the
-generator is >= 0 entrywise, so its Taylor series and the squarings that
-follow only ever add non-negative numbers.  The normal CDF is
-0.5 erfc(-x / sqrt 2) from ``math``.
+generator is >= 0 entrywise, so its Taylor series and the matrix-vector
+products that apply it only ever add non-negative numbers.  The normal CDF
+is 0.5 erfc(-x / sqrt 2) from ``math``; ``_log_strike`` maps K = 0 to
+log K = -inf, where every Phi(d) of the closed forms is exactly one.
 """
 
 from __future__ import annotations
@@ -117,14 +118,15 @@ def _unit_exp_action(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     s = -min(diag, 0) makes B = A + sI >= 0 entrywise.  exp(B / 2^j), with
     j >= 0 the fewest halvings that bring B's infinity norm below 4, is its
     Taylor series up to the first term below the unit roundoff of the sum
-    in every entry, added smallest term first.  That factor is squared
-    while every entry stays finite, the factor left is applied to e_1 as
-    repeated products, and the result is scaled by e^-s.  Each squaring
-    doubles the relative rounding error, and the Taylor series of a
+    in every entry, added smallest term first.  That factor is applied to
+    e_1 by 2^j products, and the result is scaled by e^-s.  The factor is
+    >= I entrywise, so no product makes an entry smaller: once the vector
+    is not finite the final one cannot be either, and the loop stops there.
+    Every product adds rounding error, while the Taylor series of a
     non-negative matrix does not cancel at any norm: hence a norm below 4
-    rather than 1.  So summed, the first moment is correctly rounded for 9
-    in 10 draws of (r, T), against under half with a norm below 1 and the
-    largest term first.
+    rather than 1, a quarter of the products.  So summed, the first moment
+    is correctly rounded for 9 in 10 draws of (r, T), against 4 in 10 with
+    a norm below 1 and the largest term first.
     """
     s = -min(float(diag.min()), 0.0)
     B = np.diag(diag + s) + np.diag(sub, -1)
@@ -138,11 +140,10 @@ def _unit_exp_action(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
         terms.append(term)
         E = E + term
     E = sum(reversed(terms))
-    while j and np.all(np.isfinite(F := E @ E)):
-        E = F
-        j -= 1
     v = E[:, 0]
     for _ in range(2**j - 1):
+        if not v.max() < np.inf:  # NaN fails too
+            break
         v = E @ v
     return v * math.exp(-s)
 
@@ -163,9 +164,11 @@ def moments(params: MarketParams, N: int, kind: str = "raw",
     exp(-mu + (1 - 2n) nu^2 / 2), the diagonal similarity with s_n.  Only
     the diagonal can be negative, so exp(G T) e_1 is
     e^{-sT} exp((G + sI) T) e_1 with s = -min(lambda_n, 0) and
-    (G + sI) T >= 0 entrywise: its Taylor series and squarings add
-    non-negative terms only and lose no digits to cancellation (Xue and Ye,
-    Numer. Math. 110, 2008).
+    (G + sI) T >= 0 entrywise: its Taylor series and the products that
+    apply it to e_1 add non-negative terms only and lose no digits to
+    cancellation (Xue and Ye, Numer. Math. 110, 2008).  The products stop at
+    the first vector that is not finite, so moments that overflow raise as
+    soon as they do, not after all 2^j products.
 
     Raises
     ------
@@ -220,11 +223,20 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _log_strike(K: float) -> float:
+    """log K, and -inf at K = 0: every d = (... - log K) / nu of the closed
+    forms is then +inf and its Phi(d) exactly one, so a zero strike takes
+    the same formulas as any other."""
+    return -math.inf if K == 0.0 else math.log(K)
+
+
 def _geo_law(market: MarketParams) -> tuple:
-    """Mean and standard deviation of log Q_T, which is normal:
-    log S0 + (r - sigma^2/2) T / 2 and sigma sqrt(T / 3)."""
-    return (math.log(market.S0) + 0.5 * (market.r - 0.5 * market.sigma**2) * market.T,
-            market.sigma * math.sqrt(market.T / 3.0))
+    """Mean m and standard deviation s of log Q_T, which is normal:
+    log S0 + (r - sigma^2/2) T / 2 and sigma sqrt(T / 3); and the mean of
+    Q_T itself, exp(m + s^2 / 2)."""
+    m = math.log(market.S0) + 0.5 * (market.r - 0.5 * market.sigma**2) * market.T
+    s = market.sigma * math.sqrt(market.T / 3.0)
+    return m, s, math.exp(m + 0.5 * s * s)
 
 
 def geometric_price_closed_form(market: MarketParams) -> float:
@@ -232,13 +244,9 @@ def geometric_price_closed_form(market: MarketParams) -> float:
     lower bound on the arithmetic one (A_T >= Q_T pathwise).
 
     log Q_T is normal (``_geo_law``), so the price is a Black-Scholes-type
-    expression.  K = 0 short-circuits to the discounted mean of Q_T.
+    expression; at K = 0 it is the discounted mean of Q_T.
     """
-    m, s = _geo_law(market)
-    disc = math.exp(-market.r * market.T)
-    fwd = math.exp(m + 0.5 * s * s)
-    if market.K == 0.0:
-        return disc * fwd
-    d1 = (m + s * s - math.log(market.K)) / s
-    d2 = (m - math.log(market.K)) / s
-    return disc * (fwd * _norm_cdf(d1) - market.K * _norm_cdf(d2))
+    m, s, mean = _geo_law(market)
+    log_k = _log_strike(market.K)
+    return math.exp(-market.r * market.T) * (
+        mean * _norm_cdf((m + s * s - log_k) / s) - market.K * _norm_cdf((m - log_k) / s))

@@ -21,16 +21,16 @@ from .basis import (CLOSED_FORM_ETA_MAX, OrthonormalBasis, WeightParams, default
                     orthonormal_basis)
 from .errors import ValidationError
 from .model import (TAU_RULE_OF_THUMB, MarketParams, MomentVector, _check_int, _check_positive,
-                    _norm_cdf, geometric_price_closed_form, mean_average, moments)
+                    _log_strike, _norm_cdf, geometric_price_closed_form, mean_average, moments)
 
 MAX_ORDER = 40
 DEFAULT_ORDER = 20
 
 
 def _d_values(weight: WeightParams, strike: float, count: int) -> np.ndarray:
-    """d_n = (mu + nu^2 n - log K) / nu for n = 0 .. count-1."""
+    """d_n = (mu + nu^2 n - log K) / nu for n = 0 .. count-1; +inf at K = 0."""
     n = np.arange(count, dtype=float)
-    return (weight.mu + weight.nu2 * n - math.log(strike)) / weight.nu
+    return (weight.mu + weight.nu2 * n - _log_strike(strike)) / weight.nu
 
 
 def scaled_payoff_projections(weight: WeightParams, strike: float, N: int) -> np.ndarray:
@@ -38,13 +38,11 @@ def scaled_payoff_projections(weight: WeightParams, strike: float, N: int) -> np
 
     fbar_i = exp(mu + (2i + 1) nu^2 / 2) Phi(d_{i+1}) - K Phi(d_i), the
     closed normal-CDF form of <(x - K)^+, x^i>_w / s_i.  The strike is in
-    the same (normalized) units as the weight.  K = 0 reduces to the pure
-    weight-moment ratio s_{i+1} / s_i with every Phi equal to one.
+    the same (normalized) units as the weight.  At K = 0 every Phi is
+    exactly one, which leaves the weight-moment ratio s_{i+1} / s_i.
     """
     i = np.arange(N + 1, dtype=float)
     lead = np.exp(weight.mu + 0.5 * (2.0 * i + 1.0) * weight.nu2)
-    if strike == 0.0:
-        return lead
     Phi = np.array([_norm_cdf(d) for d in _d_values(weight, strike, N + 2)])
     return lead * Phi[1:] - strike * Phi[:-1]
 
@@ -81,17 +79,15 @@ def payoff_norm_sq(market: MarketParams, weight: WeightParams) -> float:
 
     ||F||_w^2 = exp(-2rT) (exp(2mu + 2nu^2) Phi(d_2)
                 - 2 K exp(mu + nu^2/2) Phi(d_1) + K^2 Phi(d_0)),
-    scaled by S0^2 for the normalized strike K / S0.
+    scaled by S0^2 for the normalized strike K / S0 (every Phi is one at
+    K = 0).
     """
     disc2 = math.exp(-2.0 * market.r * market.T)
     k = market.K / market.S0
-    if k == 0.0:
-        val = disc2 * math.exp(2.0 * weight.mu + 2.0 * weight.nu2)
-    else:
-        d = [_norm_cdf(v) for v in _d_values(weight, k, 3)]
-        val = disc2 * (math.exp(2.0 * weight.mu + 2.0 * weight.nu2) * d[2]
-                       - 2.0 * k * math.exp(weight.mu + 0.5 * weight.nu2) * d[1]
-                       + k * k * d[0])
+    d = [_norm_cdf(v) for v in _d_values(weight, k, 3)]
+    val = disc2 * (math.exp(2.0 * weight.mu + 2.0 * weight.nu2) * d[2]
+                   - 2.0 * k * math.exp(weight.mu + 0.5 * weight.nu2) * d[1]
+                   + k * k * d[0])
     return market.S0**2 * val
 
 

@@ -346,6 +346,33 @@ class TestOutputContract:
         assert [row[c] for c in ("eps_ell", "eps_ell_se", "bound", "bound_hi")] == [None] * 4
         assert row["price"] > 0.0
 
+    @pytest.mark.parametrize("argv,json_only", [
+        (["price", "--N", "0,5,20"], {"resolvable_degree"}),
+        (["bench", "--with-mc", "--paths", "4096", "--dt", "5e-2", "--seed", "3"], {"mc_se"}),
+        (["density", "--case", "2", "--N", "4", "--grid-points", "7"], set()),
+        (["density", "--N", "0", "--grid-points", "7"], set()),
+        (["density", "--case", "3", "--N", "6", "--grid-points", "7", "--with-mc",
+          "--paths", "4096", "--dt", "5e-2"], set()),
+        (["errbound", "--sigma-grid", "0.3,0.8", "--paths", "4096", "--dt", "5e-2"], set()),
+    ])
+    def test_csv_rows_match_json_results(self, argv, json_only):
+        # one result table: a csv row holds its JSON result's values, each
+        # column once; only these headers differ from their JSON keys
+        key = {"conv_diag": "convergence_diag",
+               "LNS10": "lns10", "LNS15": "lns15", "LNS20": "lns20"}
+        _, out, _ = run_cli(argv + ["--format", "csv"])
+        header, rows = parse_csv(out)
+        _, out, _ = run_cli(argv + ["--format", "json"])
+        results = strict_json(out)["results"]
+        assert len(header) == len(set(header))
+        assert len(rows) == len(results)
+        for row, res in zip(rows, results):
+            assert {key.get(h, h) for h in header} == set(res) - json_only
+            for h, cell in zip(header, row):
+                want = res[key.get(h, h)]
+                assert (math.isnan(float(cell)) if want is None
+                        else float(cell) == want), (h, cell, want)
+
     def test_failed_command_leaves_output_untouched(self, tmp_path):
         kept, fresh = tmp_path / "keep.csv", tmp_path / "fresh.csv"
         kept.write_text("x\n")

@@ -1,6 +1,7 @@
 """Tests for market parameters and moment computation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,14 @@ class TestMoments:
         w = default_weight(m, float(moments(m, 1).values[1]))
         rel = moments(m, 40, kind="relative", weight=w)
         assert np.all(np.isfinite(rel.values))
+
+    def test_absurd_market_raises_fast(self):
+        # 2^j products of the Taylor factor with j ~ 29 here: the loop must
+        # stop at the first vector that overflows, not run them all
+        t0 = time.perf_counter()
+        with pytest.raises(MomentOverflowError):
+            moments(MarketParams(r=0.05, sigma=3000.0, T=1.0, S0=1.0, K=1.0), 20)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_validation(self):
         m = MarketParams(r=0.0, sigma=0.1, T=1.0, S0=1.0, K=1.0)
