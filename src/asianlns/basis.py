@@ -55,7 +55,7 @@ CLOSED_FORM_ETA_MAX = 1e-5
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightParams:
     """Parameters (mu, nu) of the auxiliary log-normal density."""
 

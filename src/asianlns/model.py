@@ -30,9 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .basis import WeightParams
 
 TAU_RULE_OF_THUMB = 0.5
+#: Taylor terms of the moment exponential computed by one batched product
+TAYLOR_BLOCK = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarketParams:
     """Black-Scholes inputs for one fixed-strike average-price option.
 
@@ -117,11 +119,16 @@ def _unit_exp_action(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
 
     s = -min(diag, 0) makes B = A + sI >= 0 entrywise.  exp(B / 2^j), with
     j >= 0 the fewest halvings that bring B's infinity norm below 4, is its
-    Taylor series up to the first term below the unit roundoff of the sum
-    in every entry, added smallest term first.  That factor is applied to
-    e_1 by 2^j products, and the result is scaled by e^-s.  The factor is
-    >= I entrywise, so no product makes an entry smaller: once the vector
-    is not finite the final one cannot be either, and the loop stops there.
+    Taylor series summed a block of b = TAYLOR_BLOCK terms at a time: from
+    the table B', B'^2, ..., B'^b (B' = B / 2^j) the terms k + 1, ..., k + b
+    are the last term B'^k / k! times that table, in one batched product,
+    divided by (k + 1), (k + 1)(k + 2), ..., (k + 1)...(k + b).  The sum
+    stops after the first block whose last term is below the unit roundoff
+    of the partial sum in every entry, and all its terms are then added
+    smallest first in one reduction.  That factor is applied to e_1 by 2^j
+    products, and the result is scaled by e^-s.  The factor is >= I
+    entrywise, so no product makes an entry smaller: once the vector is
+    not finite the final one cannot be either, and the loop stops there.
     Every product adds rounding error, while the Taylor series of a
     non-negative matrix does not cancel at any norm: hence a norm below 4
     rather than 1, a quarter of the products.  So summed, the first moment
@@ -132,14 +139,25 @@ def _unit_exp_action(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     B = np.diag(diag + s) + np.diag(sub, -1)
     j = max(math.frexp(float(B.sum(axis=1).max()) / 4.0)[1], 0)
     B /= 2.0**j
+    powers = np.empty((TAYLOR_BLOCK,) + B.shape)
+    powers[0] = B
+    m = 1
+    while m < TAYLOR_BLOCK:  # B^(m+1..m+h) = B^(1..h) B^m
+        h = min(m, TAYLOR_BLOCK - m)
+        np.matmul(powers[:h], powers[m - 1], out=powers[m:m + h])
+        m += h
+    steps = np.arange(1.0, TAYLOR_BLOCK + 1.0)
     term = E = np.eye(diag.size)
-    terms = [term]
+    terms = [term[None]]
     u = 0.5 * np.finfo(float).eps
-    while not np.all(term <= u * E):
-        term = term @ B / len(terms)
-        terms.append(term)
-        E = E + term
-    E = sum(reversed(terms))
+    k = 0
+    while not (term <= u * E).all():
+        block = term @ powers / np.cumprod(steps + k)[:, None, None]
+        terms.append(block)
+        E = E + block.sum(axis=0)
+        term = block[-1]
+        k += TAYLOR_BLOCK
+    E = np.concatenate(terms)[::-1].sum(axis=0)
     v = E[:, 0]
     for _ in range(2**j - 1):
         if not v.max() < np.inf:  # NaN fails too
@@ -166,9 +184,13 @@ def moments(params: MarketParams, N: int, kind: str = "raw",
     e^{-sT} exp((G + sI) T) e_1 with s = -min(lambda_n, 0) and
     (G + sI) T >= 0 entrywise: its Taylor series and the products that
     apply it to e_1 add non-negative terms only and lose no digits to
-    cancellation (Xue and Ye, Numer. Math. 110, 2008).  The products stop at
-    the first vector that is not finite, so moments that overflow raise as
-    soon as they do, not after all 2^j products.
+    cancellation (Xue and Ye, Numer. Math. 110, 2008).  The series of
+    exp((G + sI) T / 2^j) takes TAYLOR_BLOCK terms per batched product
+    against a table of powers, and stops after the first block whose last
+    term is below the unit roundoff of the sum in every entry
+    (``_unit_exp_action``).  The products stop at the first vector that is
+    not finite, so moments that overflow raise as soon as they do, not
+    after all 2^j products.
 
     Raises
     ------

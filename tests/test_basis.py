@@ -1,5 +1,6 @@
 """Tests for the weight and the orthonormal basis construction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,15 @@ class TestWeightParams:
             WeightParams(mu=0.0, nu=0.0)
         with pytest.raises(ValidationError):
             WeightParams(mu=math.nan, nu=0.5)
+
+    def test_slotted_value(self):
+        w = WeightParams(mu=0.2, nu=0.4)
+        assert not hasattr(w, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.nu = 0.5
+        twin = WeightParams(mu=0.2, nu=0.4)
+        assert w == twin and hash(w) == hash(twin) and len({w, twin}) == 1
+        assert w != WeightParams(mu=0.2, nu=0.5)
 
     def test_admissibility(self):
         m = MarketParams(r=0.0, sigma=0.5, T=1.0, S0=1.0, K=1.0)

@@ -1,8 +1,11 @@
 """Tests for market parameters and moment computation."""
 
+import dataclasses
 import math
+import random
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,15 @@ class TestMarketParams:
 
     def test_zero_strike_allowed(self):
         MarketParams(r=0.0, sigma=0.2, T=1.0, S0=1.0, K=0.0)
+
+    def test_slotted_value(self):
+        m = MarketParams(r=0.05, sigma=0.3, T=2.0, S0=100.0, K=95.0)
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.K = 90.0
+        twin = MarketParams(r=0.05, sigma=0.3, T=2.0, S0=100.0, K=95.0)
+        assert m == twin and hash(m) == hash(twin) and len({m, twin}) == 1
+        assert m != MarketParams(r=0.05, sigma=0.3, T=2.0, S0=100.0, K=90.0)
 
     def test_tau_above_rule_record(self):
         ap = price(MarketParams(r=0.0, sigma=1.0, T=1.0, S0=1.0, K=1.0), 5)
@@ -107,6 +119,33 @@ class TestMoments:
             for N in (20, 40):
                 got = moments(norm, N, kind="relative", weight=w).values
                 np.testing.assert_allclose(got, want[:N + 1], rtol=1e-11, err_msg=f"{m} N={N}")
+
+    def test_relative_vs_taylor_oracle_on_cold_markets(self):
+        # markets from the benchmark's cold-price domain, where the Taylor
+        # factor takes 2 to 5 halvings and 3 to 6 blocks of terms
+        rng = random.Random(23)
+        for _ in range(40):
+            T = rng.choice([0.25, 0.5, 1.0, 2.0, 3.0])
+            tau = math.exp(rng.uniform(math.log(0.005), math.log(0.5)))
+            m = MarketParams(rng.uniform(-0.02, 0.2), math.sqrt(tau / T), T, 1.0, 1.0)
+            N = rng.choice([10, 15, 20])
+            w = default_weight(m, mean_average(m))
+            want = mp_relative_moments(m.r, m.sigma, m.T, w.mu, w.nu2, N)
+            got = moments(m, N, kind="relative", weight=w).values
+            np.testing.assert_allclose(got, want, rtol=1e-11, err_msg=f"{m} N={N}")
+
+    def test_mean_average_correctly_rounded(self):
+        # the share of draws on which m1 is expm1(rT) / (rT) correctly
+        # rounded, rT taken exactly; 0.897 for this draw
+        rng = random.Random(11)
+        hits = 0
+        with mpmath.workdps(40):
+            for _ in range(2000):
+                r = rng.uniform(-0.05, 0.25)
+                T = math.exp(rng.uniform(math.log(1e-3), math.log(5.0)))
+                x = mpmath.mpf(r) * mpmath.mpf(T)
+                hits += mean_average(MarketParams(r, 0.2, T, 1.0, 1.0)) == float(mpmath.expm1(x) / x)
+        assert hits >= 0.85 * 2000
 
     def test_unit_zeroth_moment(self, cases):
         for m in cases.values():
