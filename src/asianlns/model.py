@@ -236,7 +236,8 @@ def moments(params: MarketParams, N: int, kind: str = "raw",
 
 
 def mean_average(params: MarketParams) -> float:
-    """E[A_T] for the given market (in units of S0)."""
+    """E[A_T] for the given market, in currency: S0 times the degree-one raw
+    moment of the normalized average A_T / S0."""
     return float(moments(params, 1, kind="raw").values[1]) * params.S0
 
 

@@ -106,6 +106,10 @@ class DensityApproximant:
     Every exponent is <= 0, so no term overflows in the tails.  Its mass is
     sum_k coef_k = ell_0 = 1, but it may go negative in the tails; that is
     expected and not an error.
+
+    ``a`` and ``scale`` are read-only, and so is ``coef`` in the
+    approximant of a ``SeriesKernel``, which serves every price of its
+    market.
     """
 
     weight: WeightParams
@@ -116,8 +120,12 @@ class DensityApproximant:
     def __post_init__(self):
         w = self.weight
         k = np.arange(self.coef.size, dtype=float)
-        object.__setattr__(self, "a", (w.mu + k * w.nu2) / w.nu)
-        object.__setattr__(self, "scale", self.coef / (math.sqrt(2.0 * math.pi) * w.nu))
+        a = (w.mu + k * w.nu2) / w.nu
+        scale = self.coef / (math.sqrt(2.0 * math.pi) * w.nu)
+        a.setflags(write=False)
+        scale.setflags(write=False)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "scale", scale)
 
     def __call__(self, x) -> np.ndarray:
         x = _check_positive(x, "density evaluation", "pricer")
@@ -126,6 +134,29 @@ class DensityApproximant:
         z *= -0.5
         np.exp(z, out=z)
         return (self.scale @ z).reshape(x.shape) / x
+
+
+@dataclass(frozen=True, eq=False)
+class SeriesKernel:
+    """The part of a series price that depends on the market and on N but
+    not on the strike: the weight, the degree-N basis, the likelihood
+    coefficients ell and the density approximant w sum_n ell_n b_n.
+
+    All of it refers to the normalized average A_T / S0.  ``ell`` is
+    read-only, because every result of the market shares it.  The density
+    approximant is built on the first ``density`` access, which ``price``
+    does not make, and is the same object on every later one.
+    """
+
+    weight: WeightParams
+    basis: OrthonormalBasis = field(repr=False)
+    ell: np.ndarray = field(repr=False)
+
+    @cached_property
+    def density(self) -> DensityApproximant:
+        coef = self.ell @ self.basis.cbar
+        coef.setflags(write=False)
+        return DensityApproximant(weight=self.weight, coef=coef)
 
 
 @dataclass(frozen=True)
@@ -138,6 +169,11 @@ class SeriesApproximation:
     ||F||_w^2 - sum f_n^2 (currency^2); for a zero strike it is identically
     zero from degree one on and is stored as exact zero.
 
+    ``weight``, ``basis`` and ``ell`` are those of the market's
+    ``SeriesKernel``: every result of one market (r, sigma, T), order and
+    weight shares the same objects while the kernel stays cached, and ell
+    is read-only.  ``f`` belongs to the result alone.
+
     ``diagnostics`` says how far to trust the price, as records {"code",
     "stage", "value", "threshold"}: ``truncated`` (basis; eta of the first
     dropped degree against ``CLOSED_FORM_ETA_MAX``), ``tau_above_rule``
@@ -148,14 +184,24 @@ class SeriesApproximation:
 
     N: int
     f: np.ndarray = field(repr=False)
-    ell: np.ndarray = field(repr=False)
     price: float
     payoff_norm_sq: float
     eps_payoff: float
-    weight: WeightParams
     market: MarketParams
-    basis: OrthonormalBasis = field(repr=False)
+    kernel: SeriesKernel
     diagnostics: tuple = field(repr=False, default=())
+
+    @property
+    def weight(self) -> WeightParams:
+        return self.kernel.weight
+
+    @property
+    def basis(self) -> OrthonormalBasis:
+        return self.kernel.basis
+
+    @property
+    def ell(self) -> np.ndarray:
+        return self.kernel.ell
 
     def convergence_diagnostic(self) -> float:
         """|f_R ell_R|, the last term the basis resolves (R =
@@ -170,25 +216,24 @@ class SeriesApproximation:
         """eps_F at every truncation order 0..N (non-increasing)."""
         return self.payoff_norm_sq - np.cumsum(self.f**2)
 
-    @cached_property
-    def _density(self) -> DensityApproximant:
-        return DensityApproximant(weight=self.weight, coef=self.ell @ self.basis.cbar)
-
     def density(self) -> DensityApproximant:
-        """The series density; built on the first call, which ``price`` does
-        not make, and the same approximant on every later one."""
-        return self._density
+        """The series density of the market: the kernel's approximant, so
+        every result of the market returns the same object."""
+        return self.kernel.density
 
 
 @lru_cache(maxsize=128)
-def _kernel(r: float, sigma: float, T: float, N: int, mu: float, nu: float):
-    """Basis and relative moments for a normalized market; cached so that
-    re-pricing across strikes only recomputes the payoff coefficients."""
+def _kernel(r: float, sigma: float, T: float, N: int, mu: float, nu: float) -> SeriesKernel:
+    """The ``SeriesKernel`` of a normalized market, built on its first use:
+    the basis, the relative moments and their solve for ell.  Cached, so
+    that a strike sweep re-solves only the payoff coefficients and shares
+    one density approximant."""
     market = MarketParams(r=r, sigma=sigma, T=T, S0=1.0, K=1.0)
     weight = WeightParams(mu=mu, nu=nu)
     basis = orthonormal_basis(weight, N)
-    moms = moments(market, N, kind="relative", weight=weight)
-    return basis, moms
+    ell = likelihood_coefficients(moments(market, N, kind="relative", weight=weight), basis)
+    ell.setflags(write=False)
+    return SeriesKernel(weight=weight, basis=basis, ell=ell)
 
 
 def price(market: MarketParams, N: int = DEFAULT_ORDER,
@@ -200,7 +245,13 @@ def price(market: MarketParams, N: int = DEFAULT_ORDER,
     that nu^2 = sigma^2 T / 2 + 1e-4 and the weight matches the first
     moment of the normalized average, which makes ell_1 vanish.  A supplied
     weight must refer to the normalized average and satisfy
-    nu^2 > sigma^2 T / 2.  Every call builds ``diagnostics`` afresh.
+    nu^2 > sigma^2 T / 2.
+
+    m1 and the weight are computed on every call; the weight and the order
+    then key the market's ``SeriesKernel`` (``_kernel``), which supplies
+    the basis and ell and is built only for a new key.  A call on a cached
+    market therefore solves only the payoff coefficients.  Every call
+    builds ``diagnostics`` afresh.
 
     The mean m1 of the normalized average is ``mean_average(normalized)``,
     the degree-one raw moment.  The closed form expm1(rT) / (rT) would do
@@ -222,21 +273,20 @@ def price(market: MarketParams, N: int = DEFAULT_ORDER,
             f"weight nu^2={weight.nu2:.4g} must exceed sigma^2 T / 2 = "
             f"{0.5 * normalized.sigma**2 * normalized.T:.4g}", module="pricer")
 
-    basis, moms = _kernel(market.r, market.sigma, market.T, N, weight.mu, weight.nu)
-    ell = likelihood_coefficients(moms, basis)
-    f = payoff_coefficients(market, weight, basis)
-    pi = float(f @ ell)
+    kernel = _kernel(market.r, market.sigma, market.T, N, weight.mu, weight.nu)
+    f = payoff_coefficients(market, kernel.weight, kernel.basis)
+    pi = float(f @ kernel.ell)
 
-    norm_sq = payoff_norm_sq(market, weight)
+    norm_sq = payoff_norm_sq(market, kernel.weight)
     if market.K == 0.0 and N >= 1:
         # degree-one payoff: the projection is exact, eps_F vanishes identically
         eps_payoff = 0.0
     else:
         eps_payoff = float(norm_sq - f @ f)
 
-    return SeriesApproximation(N=N, f=f, ell=ell, price=pi, payoff_norm_sq=norm_sq,
-                               eps_payoff=eps_payoff, weight=weight, market=market,
-                               basis=basis, diagnostics=_diagnostics(market, basis, m1, pi))
+    return SeriesApproximation(N=N, f=f, price=pi, payoff_norm_sq=norm_sq,
+                               eps_payoff=eps_payoff, market=market, kernel=kernel,
+                               diagnostics=_diagnostics(market, kernel.basis, m1, pi))
 
 
 def _record(code: str, stage: str, value: float, threshold: float) -> dict:
@@ -264,5 +314,6 @@ def _diagnostics(market: MarketParams, basis: OrthonormalBasis, m1: float, pi: f
 
 
 def clear_kernel_cache() -> None:
-    """Drop cached basis/moment kernels (used by benchmarks timing cold runs)."""
+    """Drop the cached series kernels (used by benchmarks timing cold runs);
+    the next price of a market builds a new kernel with identical values."""
     _kernel.cache_clear()

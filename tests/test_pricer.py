@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
-from asianlns import (MarketParams, ValidationError, WeightParams, benchmark_cases,
-                      default_weight, likelihood_coefficients, moments, payoff_coefficients,
+from asianlns import (DensityApproximant, MarketParams, ValidationError, WeightParams,
+                      benchmark_cases, default_weight, likelihood_coefficients, moments, payoff_coefficients,
                       orthonormal_basis, payoff_norm_sq, price,
                       scaled_payoff_projections, weight_density)
 from asianlns.basis import CLOSED_FORM_ETA_MAX
@@ -382,6 +382,73 @@ class TestDensityApprox:
             np.testing.assert_allclose(dens(x.reshape(3, 2)), flat.reshape(3, 2),
                                        rtol=0, atol=tol)
             assert float(dens(x[2])) == pytest.approx(flat[2], rel=0, abs=tol)
+
+
+class TestSeriesKernel:
+    """ell, the weight, the basis and the density approximant belong to the
+    market's kernel and are shared by every strike priced on it."""
+
+    @staticmethod
+    def _strike(market, moneyness):
+        return MarketParams(r=market.r, sigma=market.sigma, T=market.T, S0=market.S0,
+                            K=moneyness * market.S0)
+
+    def test_shared_arrays_are_read_only(self, cases):
+        ap = price(cases[3], 20)
+        dens = ap.density()
+        for arr in (ap.ell, dens.coef, dens.a, dens.scale):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        ap.f[0] = ap.f[0]  # f belongs to the result alone
+
+    def test_strikes_of_one_market_share_the_kernel(self, cases):
+        a = price(self._strike(cases[4], 0.9), 20)
+        b = price(self._strike(cases[4], 1.1), 20)
+        assert a.kernel is b.kernel
+        assert a.density() is b.density()
+        assert a.weight is b.weight
+        assert a.price != b.price
+
+    def test_user_weight_has_its_own_kernel(self, cases):
+        a = price(cases[4], 20)
+        user = WeightParams(mu=a.weight.mu + 0.01, nu=a.weight.nu)
+        b = price(cases[4], 20, weight=user)
+        assert a.kernel is not b.kernel
+        assert b.weight == user and a.density() is not b.density()
+
+    def test_clear_builds_a_new_kernel_with_identical_values(self, cases):
+        a = price(cases[2], 20)
+        dens_a = a.density()
+        clear_kernel_cache()
+        b = price(cases[2], 20)
+        dens_b = b.density()
+        assert dens_b is not dens_a
+        for name in ("coef", "a", "scale"):
+            assert getattr(dens_b, name).tobytes() == getattr(dens_a, name).tobytes()
+        assert b.ell.tobytes() == a.ell.tobytes() and b.weight == a.weight
+
+    @pytest.mark.parametrize("N", [0, 5, 20, 40])
+    def test_warm_equals_cold(self, cases, N):
+        # a price from a cleared cache and the same price from the kernel a
+        # nearby strike warmed agree bit for bit, and the kernel's density is
+        # the mixture of ell @ cbar evaluated afresh
+        for market in cases.values():
+            for moneyness in (0.8, 1.0, 1.25):
+                m = self._strike(market, moneyness)
+                clear_kernel_cache()
+                cold = price(m, N)
+                clear_kernel_cache()
+                price(self._strike(market, 1.05), N)
+                warm = price(m, N)
+                assert warm.price == cold.price
+                assert warm.f.tobytes() == cold.f.tobytes()
+                assert warm.ell.tobytes() == cold.ell.tobytes()
+                assert warm.eps_payoff == cold.eps_payoff
+                assert warm.diagnostics == cold.diagnostics
+            w = warm.weight
+            x = np.exp(np.linspace(w.mu - 6.0 * w.nu, w.mu + 6.0 * w.nu, 200))
+            fresh = DensityApproximant(weight=w, coef=warm.ell @ warm.basis.cbar)
+            assert np.array_equal(warm.density()(x), fresh(x))
 
 
 def _geometric_call(r, sigma, T, K):
