@@ -11,7 +11,10 @@ header row and 17-significant-digit numbers (exact double round-trip);
 ``--format json`` emits one object {config, results, diagnostics} whose
 config block, fed back as flags, reproduces the numeric output bit for bit
 at a fixed seed; it is strict JSON, with null for a NaN or infinite value.
-Its ``diagnostics`` are the records of
+The config block holds every flag except ``--output``, with resolved values
+in place of defaults (the order list, the grid ends, the sigma grid) and
+density's ``--case`` appearing as its market; price and density append the
+weight parameters.  Its ``diagnostics`` are the records of
 ``SeriesApproximation.diagnostics`` behind their context keys, plus
 ``failed`` and ``norm_skipped`` records with a ``message``.  Table and csv
 formats echo the resolved configuration (including defaulted weight
@@ -30,6 +33,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from statistics import NormalDist
 
 import numpy as np
@@ -133,13 +137,19 @@ def _mc_config(ns) -> McConfig:
     return McConfig(paths=ns.paths, dt=ns.dt, seed=ns.seed)
 
 
-def _emit(doc: dict, columns, ns, stderr) -> str:
+def _config(ns, **resolved) -> dict:
+    """The config block: every parsed flag but ``--output`` and ``--case``, in
+    parser order, with the ``resolved`` values replacing or appending entries."""
+    flags = {k: v for k, v in vars(ns).items() if k not in ("output", "case")}
+    return {**flags, **resolved}
+
+
+def _emit(doc: dict, columns, fmt: str, stderr, table_note: str) -> str:
     """Render results in the requested format; returns the payload string.
 
     The table and csv rows hold ``columns`` of each JSON result, through
     ``_RESULT_KEY`` where a header differs from its key; a key a result
-    lacks (a failed bench case) is NaN."""
-    fmt = ns.format
+    lacks (a failed bench case) is NaN.  ``table_note`` follows the table."""
     if fmt == "json":
         # strict JSON has no NaN or Infinity: the parser's hook turns each into null
         doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
@@ -163,7 +173,7 @@ def _emit(doc: dict, columns, ns, stderr) -> str:
     for row in rows:
         cells = ["%.6g" % v if isinstance(v, float) else str(v) for v in row]
         out.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n" + table_note
 
 
 def _records(approx, **context) -> list:
@@ -171,13 +181,12 @@ def _records(approx, **context) -> list:
     return [{**context, "N": approx.N, **rec} for rec in approx.diagnostics]
 
 
-def cmd_price(ns, stdout, stderr) -> int:
+# Each command returns its config block, results, diagnostics records, the
+# table and csv columns, and a note that follows the table.
+
+def cmd_price(ns):
     market = _market_from(ns)
     orders = _parse_list(ns.N, int, "order list")
-    config = {"command": "price", "r": market.r, "sigma": market.sigma, "T": market.T,
-              "S0": market.S0, "K": market.K, "N": ",".join(map(str, orders)),
-              "format": ns.format}
-
     diagnostics, results = [], []
     for N in orders:
         ap = price(market, N)
@@ -185,18 +194,13 @@ def cmd_price(ns, stdout, stderr) -> int:
                         "convergence_diag": ap.convergence_diagnostic(),
                         "resolvable_degree": ap.basis.resolvable_degree})
         diagnostics += _records(ap)
-    config.update(weight_mu=ap.weight.mu, weight_nu2=ap.weight.nu2)
-
-    doc = {"config": config, "results": results, "diagnostics": diagnostics}
-    stdout.write(_emit(doc, ("N", "price", "eps_F", "conv_diag"), ns, stderr))
-    return 0
+    config = _config(ns, N=",".join(map(str, orders)),
+                     weight_mu=ap.weight.mu, weight_nu2=ap.weight.nu2)
+    return config, results, diagnostics, ["N", "price", "eps_F", "conv_diag"], ""
 
 
-def cmd_bench(ns, stdout, stderr) -> int:
-    config = {"command": "bench", "with_mc": ns.with_mc, "timings": ns.timings,
-              "paths": ns.paths, "dt": ns.dt, "seed": ns.seed, "format": ns.format}
+def cmd_bench(ns):
     mc_cfg = _mc_config(ns) if ns.with_mc else None
-
     columns = ["case", "r", "sigma", "T", "S0", "K", "LNS10", "LNS15", "LNS20"]
     if ns.with_mc:
         columns += ["mc_lo", "mc_hi"]
@@ -205,8 +209,7 @@ def cmd_bench(ns, stdout, stderr) -> int:
 
     diagnostics, results = [], []
     for idx, market in enumerate(benchmark_cases(), start=1):
-        res = {"case": idx, "r": market.r, "sigma": market.sigma, "T": market.T,
-               "S0": market.S0, "K": market.K}
+        res = {"case": idx, **asdict(market)}
         try:
             for ap in [price(market, N) for N in (10, 15, 20)]:
                 res[f"lns{ap.N}"] = ap.price
@@ -226,19 +229,16 @@ def cmd_bench(ns, stdout, stderr) -> int:
             res["error"] = str(exc)
         results.append(res)
 
-    doc = {"config": config, "results": results, "diagnostics": diagnostics}
-    stdout.write(_emit(doc, columns, ns, stderr))
-    if ns.format == "table":
-        stdout.write("\nreference values (external fixture data):\n")
-        for idx in range(1, 8):
-            ref = reference_case(idx)
-            stdout.write(f"  case {idx}: LNS10={ref['lns10']} LNS15={ref['lns15']} "
-                         f"LNS20={ref['lns20']} EE={ref['ee']} "
-                         f"MC95=[{ref['mc_lo']}, {ref['mc_hi']}]\n")
-    return 0
+    note = "\nreference values (external fixture data):\n"
+    for idx in range(1, 8):
+        ref = reference_case(idx)
+        note += (f"  case {idx}: LNS10={ref['lns10']} LNS15={ref['lns15']} "
+                 f"LNS20={ref['lns20']} EE={ref['ee']} "
+                 f"MC95=[{ref['mc_lo']}, {ref['mc_hi']}]\n")
+    return _config(ns), results, diagnostics, columns, note
 
 
-def cmd_density(ns, stdout, stderr) -> int:
+def cmd_density(ns):
     if ns.case is not None:
         if not 1 <= ns.case <= 7:
             raise ValidationError(f"--case must be 1..7, got {ns.case}", module="cli")
@@ -258,14 +258,9 @@ def cmd_density(ns, stdout, stderr) -> int:
         raise ValidationError("invalid density grid", module="cli")
     x = np.linspace(gmin, gmax, ns.grid_points)
 
-    config = {"command": "density", "r": market.r, "sigma": market.sigma,
-              "T": market.T, "S0": market.S0, "K": market.K, "N": ns.N,
-              "grid_min": gmin, "grid_max": gmax, "grid_points": ns.grid_points,
-              "with_mc": ns.with_mc, "paths": ns.paths, "dt": ns.dt,
-              "seed": ns.seed, "format": ns.format,
-              "weight_mu": w.mu, "weight_nu2": w.nu2,
-              "scale": "densities are for the normalized average A_T / S0"}
-
+    config = _config(ns, **asdict(market), grid_min=gmin, grid_max=gmax,
+                     weight_mu=w.mu, weight_nu2=w.nu2,
+                     scale="densities are for the normalized average A_T / S0")
     cols = {"x": x, "g0": weight_density(w, x), "g4": approx4.density()(x),
             f"g{ns.N}": approx.density()(x)}  # one g0 or g4 column at N = 0 or 4
     if ns.with_mc:
@@ -273,21 +268,14 @@ def cmd_density(ns, stdout, stderr) -> int:
         cols.update(mc_density=est.value, mc_se=est.std_error)
 
     results = [{c: float(col[i]) for c, col in cols.items()} for i in range(len(x))]
-    doc = {"config": config, "results": results, "diagnostics": diagnostics}
-    stdout.write(_emit(doc, list(cols), ns, stderr))
-    return 0
+    return config, results, diagnostics, list(cols), ""
 
 
-def cmd_errbound(ns, stdout, stderr) -> int:
+def cmd_errbound(ns):
     market = _market_from(ns)
     sigmas = (_parse_list(ns.sigma_grid, float, "sigma grid") if ns.sigma_grid
               else [market.sigma])
     mc_cfg = _mc_config(ns)
-
-    config = {"command": "errbound", "r": market.r, "sigma": market.sigma,
-              "T": market.T, "S0": market.S0, "K": market.K, "N": ns.N,
-              "sigma_grid": ",".join(repr(s) for s in sigmas) if ns.sigma_grid else None,
-              "paths": ns.paths, "dt": ns.dt, "seed": ns.seed, "format": ns.format}
 
     diagnostics, results = [], []
     for sg in sigmas:
@@ -312,9 +300,8 @@ def cmd_errbound(ns, stdout, stderr) -> int:
                        bound=eb.value, bound_hi=eb.ci95[1])
         results.append(res)
 
-    doc = {"config": config, "results": results, "diagnostics": diagnostics}
-    stdout.write(_emit(doc, list(results[0]), ns, stderr))
-    return 0
+    config = _config(ns, sigma_grid=",".join(map(repr, sigmas)) if ns.sigma_grid else None)
+    return config, results, diagnostics, list(results[0]), ""
 
 
 _COMMANDS = {"price": cmd_price, "bench": cmd_bench,
@@ -330,9 +317,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
 
-    out = io.StringIO() if ns.output else stdout
     try:
-        code = _COMMANDS[ns.command](ns, out, stderr)
+        config, results, diagnostics, columns, note = _COMMANDS[ns.command](ns)
     except ValidationError as exc:
         print(f"error (invalid input, module {exc.module or 'cli'}): {exc}",
               file=stderr)
@@ -341,10 +327,14 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         print(f"error (numerical failure in module {exc.module or 'unknown'}): {exc}",
               file=stderr)
         return 3
+    doc = {"config": config, "results": results, "diagnostics": diagnostics}
+    payload = _emit(doc, columns, ns.format, stderr, note)
     if ns.output:  # written only now, so a failed command leaves the file as it was
         with open(ns.output, "w", newline="") as fh:
-            fh.write(out.getvalue())
-    return code
+            fh.write(payload)
+    else:
+        stdout.write(payload)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

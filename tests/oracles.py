@@ -73,11 +73,6 @@ def mp_relative_moments(r, sigma, T, mu, nu2, N, dps=50):
         return np.array([float(a * mpmath.exp(-s * T)) for a in total])
 
 
-def lognormal_pdf(mu, nu, x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * ((np.log(x) - mu) / nu) ** 2) / (x * nu * math.sqrt(2 * math.pi))
-
-
 def quad_weighted(f, mu, nu, span=12.0):
     """Adaptive quadrature of f against the log-normal weight, in log space."""
     def integrand(y):

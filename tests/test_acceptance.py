@@ -46,6 +46,11 @@ class TestTableOneReproduction:
         _report(f"Table-1 reproduction: 21/21 prices within 2e-4 "
                 f"({elapsed * 1e3:.0f} ms total)")
 
+    def test_reference_rows_are_cases_1_to_7(self):
+        assert [reference_case(i)["case"] for i in range(1, 8)] == list(range(1, 8))
+        with pytest.raises(KeyError, match="no benchmark case 8"):
+            reference_case(8)
+
 
 class TestCaseOneHighAccuracy:
     def test_lns20_four_decimals(self):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from asianlns import WeightParams, weight_density
-from asianlns.cli import main
+from asianlns.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -71,22 +71,13 @@ class TestPriceCommand:
     def test_bad_order_list_exits_2(self):
         code, _, _ = run_cli(["price", "--N", "10,abc"])
         assert code == 2
+        code, _, err = run_cli(["price", "--N", ","])
+        assert code == 2 and "empty order list" in err
 
     def test_numerical_failure_exits_3_named_module(self):
         code, _, err = run_cli(["price", "--sigma", "9", "--T", "9", "--N", "20"])
         assert code == 3
         assert "module basis" in err
-
-    def test_json_config_roundtrip_is_bit_identical(self):
-        args = ["price", "--r", ".07", "--sigma", ".35", "--T", "1.5",
-                "--S0", "1.2", "--K", "1.1", "--N", "5,10", "--format", "json"]
-        _, out1, _ = run_cli(args)
-        cfg = json.loads(out1)["config"]
-        rebuilt = ["price", "--r", repr(cfg["r"]), "--sigma", repr(cfg["sigma"]),
-                   "--T", repr(cfg["T"]), "--S0", repr(cfg["S0"]),
-                   "--K", repr(cfg["K"]), "--N", cfg["N"], "--format", cfg["format"]]
-        _, out2, _ = run_cli(rebuilt)
-        assert out1 == out2
 
 
 class TestBenchCommand:
@@ -188,26 +179,6 @@ class TestDensityCommand:
         assert code == 0 and out == ""
         header, rows = parse_csv(target.read_text())
         assert header[0] == "x" and len(rows) == 9
-
-    def test_json_config_roundtrip(self):
-        args = ["density", "--r", ".05", "--sigma", ".3", "--T", "1",
-                "--N", "6", "--grid-points", "11", "--with-mc",
-                "--paths", "4096", "--dt", "1e-2", "--seed", "5",
-                "--format", "json"]
-        _, out1, _ = run_cli(args)
-        cfg = json.loads(out1)["config"]
-        rebuilt = ["density", "--r", repr(cfg["r"]), "--sigma", repr(cfg["sigma"]),
-                   "--T", repr(cfg["T"]), "--S0", repr(cfg["S0"]),
-                   "--K", repr(cfg["K"]), "--N", str(cfg["N"]),
-                   "--grid-min", repr(cfg["grid_min"]),
-                   "--grid-max", repr(cfg["grid_max"]),
-                   "--grid-points", str(cfg["grid_points"]),
-                   "--paths", str(cfg["paths"]), "--dt", repr(cfg["dt"]),
-                   "--seed", str(cfg["seed"]), "--format", cfg["format"]]
-        if cfg["with_mc"]:
-            rebuilt.append("--with-mc")
-        _, out2, _ = run_cli(rebuilt)
-        assert out1 == out2
 
     def test_case1_series_tracks_mc_density(self):
         # full verification budget: the N=20 curve sits on the Monte-Carlo
@@ -372,6 +343,32 @@ class TestOutputContract:
                 want = res[key.get(h, h)]
                 assert (math.isnan(float(cell)) if want is None
                         else float(cell) == want), (h, cell, want)
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--r", ".07", "--sigma", ".35", "--T", "1.5", "--S0", "1.2", "--K", "1.1",
+         "--N", "5,10"],
+        ["bench", "--with-mc", "--paths", "4096", "--dt", "5e-2", "--seed", "3"],
+        ["density", "--case", "3", "--N", "6", "--grid-points", "11", "--with-mc",
+         "--paths", "4096", "--dt", "1e-2", "--seed", "5"],
+        ["errbound", "--sigma-grid", "0.3,0.8", "--N", "10", "--paths", "4096",
+         "--dt", "5e-2", "--seed", "7"],
+    ])
+    def test_json_config_roundtrip_is_bit_identical(self, argv):
+        # the config block holds every flag but --output (--case as its
+        # market) and, fed back as flags, reproduces the output byte for byte
+        _, out1, _ = run_cli(argv + ["--format", "json"])
+        cfg = json.loads(out1)["config"]
+        dests = vars(build_parser().parse_args([argv[0]]))
+        assert set(dests) - {"output", "case"} <= set(cfg)
+        rebuilt = [cfg["command"]]
+        for key, value in cfg.items():
+            if key == "command" or key not in dests or value is None or value is False:
+                continue
+            rebuilt.append("--" + key.replace("_", "-"))
+            if value is not True:
+                rebuilt.append(str(value))
+        _, out2, _ = run_cli(rebuilt)
+        assert out1 == out2
 
     def test_failed_command_leaves_output_untouched(self, tmp_path):
         kept, fresh = tmp_path / "keep.csv", tmp_path / "fresh.csv"

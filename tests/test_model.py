@@ -183,6 +183,11 @@ class TestMoments:
         with pytest.raises(MomentOverflowError):
             moments(MarketParams(r=0.05, sigma=3000.0, T=1.0, S0=1.0, K=1.0), 20)
         assert time.perf_counter() - t0 < 0.5
+        # sigma^2 = 1e308 is finite but the generator's degree-3 entry is not;
+        # numpy's overflow warning comes first, so it is silenced here
+        with np.errstate(over="ignore"), \
+                pytest.raises(MomentOverflowError, match="generator entries"):
+            moments(MarketParams(r=0.05, sigma=1e154, T=1.0, S0=1.0, K=1.0), 20)
 
     def test_validation(self):
         m = MarketParams(r=0.0, sigma=0.1, T=1.0, S0=1.0, K=1.0)
@@ -192,6 +197,8 @@ class TestMoments:
             moments(m, 3, kind="bogus")
         with pytest.raises(ValidationError):
             moments(m, 3, kind="relative")  # weight missing
+        with pytest.raises(ValidationError, match="raw moments take no weight"):
+            moments(m, 3, weight=default_weight(m, 1.0))
 
     def test_mean_average_scales_with_spot(self):
         m = MarketParams(r=0.05, sigma=0.2, T=1.0, S0=2.0, K=1.0)

@@ -11,11 +11,12 @@ from scipy import integrate
 from scipy.stats import norm
 
 from asianlns import (DensityApproximant, MarketParams, ValidationError, WeightParams,
-                      benchmark_cases, default_weight, likelihood_coefficients, moments, payoff_coefficients,
+                      benchmark_cases, default_weight, likelihood_coefficients,
+                      mean_average, moments, payoff_coefficients,
                       orthonormal_basis, payoff_norm_sq, price,
                       scaled_payoff_projections, weight_density)
 from asianlns.basis import CLOSED_FORM_ETA_MAX
-from asianlns.pricer import _d_values, clear_kernel_cache
+from asianlns.pricer import _d_values, _diagnostics, clear_kernel_cache
 
 from oracles import basis_evaluate, quad_payoff_moment, quad_payoff_norm_sq, weight_moment
 
@@ -487,6 +488,18 @@ class TestDiagnostics:
         assert recs[0]["stage"] == "pricer" and recs[0]["value"] == ap.price
         assert recs[0]["threshold"] == pytest.approx(intrinsic, abs=1e-6)
         assert ap.price < intrinsic - 1e-4
+
+    def test_above_forward_record(self):
+        # no drawn market has priced above the forward, so the record is
+        # checked on a price set 2e-8 S0 above it, past the 1e-8 S0 tolerance
+        m = MarketParams(r=0.05, sigma=0.3, T=1.0, S0=2.0, K=2.0)
+        m1 = mean_average(m.normalized())
+        forward = math.exp(-m.r * m.T) * m.S0 * m1
+        pi = forward + 2e-8 * m.S0
+        recs = [rec for rec in _diagnostics(m, price(m, 10).basis, m1, pi)
+                if rec["code"] == "above_forward"]
+        assert recs == [{"code": "above_forward", "stage": "pricer",
+                         "value": pi, "threshold": forward}]
 
     def test_no_warning_channel(self, cases):
         clear_kernel_cache()
