@@ -90,14 +90,12 @@ class McEstimate:
     std_error: float
     ci95: tuple
     n_effective: int
-    config: McConfig
 
     @staticmethod
-    def from_stats(n: int, mean: float, m2: float, config: McConfig) -> "McEstimate":
+    def from_stats(n: int, mean: float, m2: float) -> "McEstimate":
         se = float(_std_error(n, m2))
         return McEstimate(value=mean, std_error=se,
-                          ci95=(mean - 1.96 * se, mean + 1.96 * se),
-                          n_effective=n, config=config)
+                          ci95=(mean - 1.96 * se, mean + 1.96 * se), n_effective=n)
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ def price_cv(market: MarketParams, config: McConfig) -> McEstimate:
                                       - np.maximum(p.geo_average - market.K, 0.0)) + geo)]
 
     [(n, mean, m2)] = _chunk_stats(market, config, stats)
-    return McEstimate.from_stats(n, float(mean), float(m2), config)
+    return McEstimate.from_stats(n, float(mean), float(m2))
 
 
 def _arith_malliavin_weight(market: MarketParams, p: PathBatch) -> np.ndarray:
@@ -299,11 +297,9 @@ def geo_average_density(market: MarketParams, x) -> np.ndarray:
 class DensityGridEstimate:
     """Per-grid-point Monte-Carlo density estimates."""
 
-    x: np.ndarray = field(repr=False)
     value: np.ndarray = field(repr=False)
     std_error: np.ndarray = field(repr=False)
     n_effective: int
-    config: McConfig
     variance_reduction: np.ndarray = field(repr=False)
 
 
@@ -361,8 +357,8 @@ def density_cv(market: MarketParams, config: McConfig, x_grid) -> DensityGridEst
     m2_plain, m2_cv = m2_plain.astype(float), m2_cv.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         vr = np.where((m2_cv > 0) & (m2_plain > 0), m2_plain / m2_cv, np.nan)
-    return DensityGridEstimate(x=x, value=mean_cv, std_error=_std_error(n, m2_cv),
-                               n_effective=n, config=config, variance_reduction=vr)
+    return DensityGridEstimate(value=mean_cv, std_error=_std_error(n, m2_cv),
+                               n_effective=n, variance_reduction=vr)
 
 
 def likelihood_norm_sq(market: MarketParams, config: McConfig, weight: WeightParams,
@@ -403,7 +399,7 @@ def likelihood_norm_sq(market: MarketParams, config: McConfig, weight: WeightPar
         return [_sample_stats(num / weight_density(weight, at))]
 
     [(n, mean, m2)] = _chunk_stats(market, config, stats)
-    return McEstimate.from_stats(n, float(mean), float(m2), config)
+    return McEstimate.from_stats(n, float(mean), float(m2))
 
 
 @dataclass(frozen=True)
@@ -422,7 +418,6 @@ class ErrorBound:
     ci95: tuple
     eps_F: float
     eps_ell: float
-    norm_estimate: McEstimate
 
 
 def error_bound(approx: SeriesApproximation, norm_est: McEstimate) -> ErrorBound:
@@ -436,8 +431,7 @@ def error_bound(approx: SeriesApproximation, norm_est: McEstimate) -> ErrorBound
     value = math.sqrt(eps_f * max(eps_ell, 0.0))
     ci = (math.sqrt(eps_f * lo), math.sqrt(eps_f * hi))
     se = (ci[1] - ci[0]) / (2.0 * 1.96)
-    return ErrorBound(value=value, std_error=se, ci95=ci, eps_F=eps_f,
-                      eps_ell=eps_ell, norm_estimate=norm_est)
+    return ErrorBound(value=value, std_error=se, ci95=ci, eps_F=eps_f, eps_ell=eps_ell)
 
 
 def squared_relative_error(mc_price: McEstimate, series_price: float) -> tuple:

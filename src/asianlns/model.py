@@ -32,6 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover
 TAU_RULE_OF_THUMB = 0.5
 #: Taylor terms of the moment exponential computed by one batched product
 TAYLOR_BLOCK = 8
+#: log of the largest double
+LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,9 +45,10 @@ class MarketParams:
     r : float
         Short rate per year; may be negative.
     sigma : float
-        Volatility per sqrt(year); strictly positive.  A vanishing sigma is
-        rejected rather than treated as a limit because the auxiliary
-        log-normal weight requires nu^2 > sigma^2 T / 2 > 0.
+        Volatility per sqrt(year); strictly positive, with sigma^2 T finite.
+        A vanishing sigma is rejected rather than treated as a limit
+        because the auxiliary log-normal weight requires
+        nu^2 > sigma^2 T / 2 > 0.
     T : float
         Expiry in years, > 0.
     S0 : float
@@ -66,6 +69,9 @@ class MarketParams:
             raise ValidationError(f"sigma must be > 0, got {self.sigma}", module="model")
         if not (self.T > 0.0) or not math.isfinite(self.T):
             raise ValidationError(f"T must be > 0, got {self.T}", module="model")
+        if not math.isfinite(self.sigma * self.sigma * self.T):
+            raise ValidationError(f"sigma^2 T must be finite, got sigma={self.sigma}, "
+                                  f"T={self.T}", module="model")
         if not (self.S0 > 0.0) or not math.isfinite(self.S0):
             raise ValidationError(f"S0 must be > 0, got {self.S0}", module="model")
         if not (self.K >= 0.0) or not math.isfinite(self.K):
@@ -129,6 +135,9 @@ def _unit_exp_action(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     products, and the result is scaled by e^-s.  The factor is >= I
     entrywise, so no product makes an entry smaller: once the vector is
     not finite the final one cannot be either, and the loop stops there.
+    A zero subdiagonal entry of B' (an underflow) cuts every degree from
+    its own on off e_1, whose entries then stay exactly zero; that raises
+    before the products, which could number 2^1000.
     Every product adds rounding error, while the Taylor series of a
     non-negative matrix does not cancel at any norm: hence a norm below 4
     rather than 1, a quarter of the products.  So summed, the first moment
@@ -139,6 +148,8 @@ def _unit_exp_action(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     B = np.diag(diag + s) + np.diag(sub, -1)
     j = max(math.frexp(float(B.sum(axis=1).max()) / 4.0)[1], 0)
     B /= 2.0**j
+    if not B.diagonal(-1).all():
+        raise MomentOverflowError("moment vector lost positivity", module="model")
     powers = np.empty((TAYLOR_BLOCK,) + B.shape)
     powers[0] = B
     m = 1
@@ -190,7 +201,13 @@ def moments(params: MarketParams, N: int, kind: str = "raw",
     term is below the unit roundoff of the sum in every entry
     (``_unit_exp_action``).  The products stop at the first vector that is
     not finite, so moments that overflow raise as soon as they do, not
-    after all 2^j products.
+    after all 2^j products.  Two rules raise before any product, for
+    markets where no vector ever overflows.  A_T >= Q_T path by path, so
+    E[(A_T/S0)^N] / s_N >= exp(N (m - mu) + N^2 (s^2 - nu^2) / 2), with m
+    and s^2 the mean and variance of log(Q_T/S0) (``_geo_law``; mu = nu = 0
+    for the raw kind), and the moments overflow once that bound does.  A
+    subdiagonal entry that underflows to zero makes the moments of its
+    degree and above exactly zero (``_unit_exp_action``).
 
     Raises
     ------
@@ -206,24 +223,25 @@ def moments(params: MarketParams, N: int, kind: str = "raw",
     if kind == "raw" and weight is not None:
         raise ValidationError("raw moments take no weight parameters", module="model")
 
+    mu, nu2 = (weight.mu, weight.nu2) if kind == "relative" else (0.0, 0.0)
     n = np.arange(N + 1, dtype=float)
     sub = n[1:]
-    if kind == "relative":
-        sub = sub * np.exp(-weight.mu + 0.5 * (1.0 - 2.0 * n[1:]) * weight.nu2)
-    diag = (n * params.r + 0.5 * n * (n - 1) * params.sigma**2) * params.T
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(sub))):
-        raise MomentOverflowError("generator entries overflow double precision",
-                                  module="model")
-
+    tau = params.tau
     with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "relative":
+            sub = sub * np.exp(-mu + 0.5 * (1.0 - 2.0 * n[1:]) * nu2)
+        diag = (n * params.r + 0.5 * n * (n - 1) * params.sigma**2) * params.T
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(sub))):
+            raise MomentOverflowError("generator entries overflow double precision",
+                                      module="model")
+        overflow = (f"raw moments overflow for N={N}; use the relative kind"
+                    if kind == "raw" else "relative moments overflow double precision")
+        if N * (0.5 * params.r * params.T - 0.25 * tau - mu) \
+                + 0.5 * N * N * (tau / 3.0 - nu2) > LOG_DOUBLE_MAX:
+            raise MomentOverflowError(overflow, module="model")
         values = _unit_exp_action(diag, sub)
     if not np.all(np.isfinite(values)):
-        if kind == "raw":
-            raise MomentOverflowError(
-                f"raw moments overflow for N={N}; use the relative kind",
-                module="model")
-        raise MomentOverflowError("relative moments overflow double precision",
-                                  module="model")
+        raise MomentOverflowError(overflow, module="model")
     # m_0 = 1 identically; the shift and its e^{-sT} preserve it to a few
     # ulps, so any real defect is a formula bug.
     if abs(values[0] - 1.0) > 1e-9:

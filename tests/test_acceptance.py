@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion.  The Monte-Carlo criteria use the fixed verification budget
-(200000 paths, dt = 1e-3, seed 42).
+(``conftest.FULL_MC``: 200000 paths, dt = 1e-3, seed 42).
 """
 
 import math
@@ -14,12 +14,10 @@ import pytest
 from asianlns import (MarketParams, WeightParams,
                       benchmark_cases, geo_average_density, likelihood_norm_sq,
                       moments, orthonormal_basis, price, price_cv, density_cv,
-                      reference_case, simulate, squared_relative_error)
-from asianlns.mc import McConfig, _geo_malliavin_weight, _arith_malliavin_weight
+                      reference_case, squared_relative_error)
+from asianlns.mc import _geo_malliavin_weight, _arith_malliavin_weight
 from asianlns.pricer import clear_kernel_cache
 from oracles import gram_identity_error, mp_cbar, rk4_moments
-
-MC = McConfig(paths=200_000, dt=1e-3, seed=42)
 
 
 def _report(name):
@@ -63,12 +61,13 @@ class TestCaseOneHighAccuracy:
 
 
 class TestAnalyticIdentitySuite:
-    def test_ell0_and_ell1(self):
+    @pytest.mark.parametrize("N", [12, 20])
+    def test_ell0_and_ell1(self, N):
         for m in benchmark_cases():
-            ap = price(m, 20)
+            ap = price(m, N)
             assert abs(ap.ell[0] - 1.0) < 1e-10
             assert abs(ap.ell[1]) < 1e-10
-        _report("ell_0 = 1 and ell_1 = 0 (1e-10) on all seven cases")
+        _report(f"ell_0 = 1 and ell_1 = 0 (1e-10) on all seven cases, N={N}")
 
     def test_payoff_projection_error_bessel(self):
         for m in benchmark_cases():
@@ -86,11 +85,12 @@ class TestAnalyticIdentitySuite:
                 assert price(mk, N).price == pytest.approx(want, rel=1e-12)
         _report("K=0, N>=1 price equals discounted mean average (1e-12 rel)")
 
-    def test_normalization_equivariance(self):
+    @pytest.mark.parametrize("N", [15, 20])
+    def test_normalization_equivariance(self, N):
         for m in benchmark_cases():
-            assert price(m, 20).price == \
-                pytest.approx(m.S0 * price(m.normalized(), 20).price, rel=1e-12)
-        _report("pricing (S0, K) equals S0 x pricing (1, K/S0) (1e-12 rel)")
+            assert price(m, N).price == \
+                pytest.approx(m.S0 * price(m.normalized(), N).price, rel=1e-12)
+        _report(f"pricing (S0, K) equals S0 x pricing (1, K/S0) (1e-12 rel), N={N}")
 
     def test_basis_gram_identity(self):
         # the domain where double precision can represent the identity at
@@ -127,14 +127,14 @@ class TestAnalyticIdentitySuite:
 
 
 class TestMonteCarloSuite:
-    def test_cv_price_intervals(self):
+    def test_cv_price_intervals(self, full_mc):
         """CV 95% interval within 2e-4 of the N=20 series price, cases 2-7."""
         t0 = time.perf_counter()
         worst = 0.0
         for i, m in enumerate(benchmark_cases(), start=1):
             if i == 1:
                 continue
-            est = price_cv(m, MC)
+            est = price_cv(m, full_mc)
             lns = price(m, 20).price
             dist = max(est.ci95[0] - lns, lns - est.ci95[1], 0.0)
             worst = max(worst, dist)
@@ -142,11 +142,11 @@ class TestMonteCarloSuite:
         _report(f"CV price CIs vs LNS20, cases 2-7: max distance "
                 f"{worst:.1e} < 2e-4 ({time.perf_counter() - t0:.0f}s)")
 
-    def test_geometric_malliavin_density(self):
+    def test_geometric_malliavin_density(self, sim_cache, full_mc):
         """Integration-by-parts estimate of the geometric density matches
         the closed form within 3 SE on a 50-point central-99% grid."""
         m = benchmark_cases()[4].normalized()
-        b = simulate(m, MC)
+        b = sim_cache(m, full_mc)
         mq = 0.5 * (m.r - 0.5 * m.sigma**2) * m.T
         s = m.sigma * math.sqrt(m.T / 3.0)
         x = np.linspace(math.exp(mq - 2.576 * s), math.exp(mq + 2.576 * s), 50)
@@ -159,20 +159,20 @@ class TestMonteCarloSuite:
         assert np.all(z <= 3.0), f"max z = {z.max():.2f}"
         _report(f"geometric Malliavin vs closed form: max |z| = {z.max():.2f} <= 3")
 
-    def test_variance_reduction_factor(self):
+    def test_variance_reduction_factor(self, full_mc):
         m = benchmark_cases()[4].normalized()
         w = price(m, 1).weight
         x = np.linspace(math.exp(w.mu - 2.3 * w.nu), math.exp(w.mu + 2.3 * w.nu), 50)
-        est = density_cv(m, MC, x)
+        est = density_cv(m, full_mc, x)
         vr = est.variance_reduction[np.isfinite(est.variance_reduction)]
         mean_vr = float(np.mean(vr))
         assert mean_vr >= 3.0
         _report(f"control-variate density: mean variance reduction "
                 f"{mean_vr:.1f}x >= 3x")
 
-    def test_density_mass(self):
+    def test_density_mass(self, sim_cache, full_mc):
         m = benchmark_cases()[4].normalized()
-        b = simulate(m, MC)
+        b = sim_cache(m, full_mc)
         wgt = _arith_malliavin_weight(m, b)
         m1 = float(moments(m, 1).values[1])
         mass = (b.average - m1) * wgt  # exact per-path integral over x
@@ -185,13 +185,13 @@ SWEEP_SIGMAS = (0.1, 0.3, 0.5, 0.7, 0.85, 1.0)
 
 
 @pytest.fixture(scope="module")
-def sweep():
+def sweep(full_mc):
     """eps_ell estimates over the reduced volatility grid (N = 20)."""
     rows = {}
     for sg in SWEEP_SIGMAS:
         mkt = MarketParams(r=0.05, sigma=sg, T=1.0, S0=2.0, K=2.0)
         ap = price(mkt, 20)
-        est = likelihood_norm_sq(mkt.normalized(), MC, ap.weight)
+        est = likelihood_norm_sq(mkt.normalized(), full_mc, ap.weight)
         eps_ell = est.value - float(ap.ell @ ap.ell)
         rows[sg] = (ap, est, eps_ell)
     return rows
@@ -214,10 +214,10 @@ class TestErrorRegime:
         _report(f"error bound strictly positive at sigma = 1.0 "
                 f"(eps_ell = {eps_ell / est.std_error:.1f} SE)")
 
-    def test_sqrt_sre_at_sigma_08(self):
+    def test_sqrt_sre_at_sigma_08(self, full_mc):
         mkt = MarketParams(r=0.05, sigma=0.8, T=1.0, S0=2.0, K=2.0)
         ap = price(mkt, 20)
-        est = price_cv(mkt, MC)
+        est = price_cv(mkt, full_mc)
         sre, (lo, hi) = squared_relative_error(est, ap.price)
         assert lo <= 0.005**2 <= hi, \
             f"sqrt(SRE) CI [{math.sqrt(lo):.4f}, {math.sqrt(hi):.4f}] misses 0.5%"

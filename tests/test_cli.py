@@ -64,9 +64,10 @@ class TestPriceCommand:
         capsys.readouterr()
 
     def test_bad_market_exits_2(self):
-        code, _, err = run_cli(["price", "--sigma", "-0.5"])
-        assert code == 2
-        assert "sigma" in err
+        for sigma in ("-0.5", "1e160"):  # the second has an infinite sigma^2 T
+            code, _, err = run_cli(["price", "--sigma", sigma])
+            assert code == 2
+            assert "sigma" in err
 
     def test_bad_order_list_exits_2(self):
         code, _, _ = run_cli(["price", "--N", "10,abc"])

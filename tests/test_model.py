@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from asianlns import (MarketParams, MomentOverflowError, ValidationError,
                       mean_average, moments, price)
-from asianlns.basis import default_weight
+from asianlns.basis import WeightParams, default_weight
 
 from oracles import mp_relative_moments, rk4_moments, weight_moment
 
@@ -31,6 +31,7 @@ class TestMarketParams:
         dict(r=0.05, sigma=0.3, T=1.0, S0=1.0, K=-1.0),
         dict(r=math.nan, sigma=0.3, T=1.0, S0=1.0, K=1.0),
         dict(r=0.05, sigma=math.inf, T=1.0, S0=1.0, K=1.0),
+        dict(r=0.05, sigma=1e160, T=1.0, S0=1.0, K=1.0),  # sigma^2 T overflows
     ])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
@@ -81,13 +82,6 @@ class TestMoments:
         got = moments(m, 4).values
         want = rk4_moments(0.05, 0.5, 1.0, 4, steps=100_000)
         np.testing.assert_allclose(got, want, rtol=1e-10)
-
-    @pytest.mark.parametrize("r,sigma,T", [(0.02, 0.10, 1.0), (0.05, 0.50, 2.0)])
-    def test_degree_twenty_vs_rk4(self, r, sigma, T):
-        m = MarketParams(r=r, sigma=sigma, T=T, S0=1.0, K=1.0)
-        got = moments(m, 20).values
-        want = rk4_moments(r, sigma, T, 20, steps=40_000)
-        np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_eigenvalue_collision_negative_rate(self):
         # r = -sigma^2 makes lambda_1 = lambda_2; the exponential action
@@ -177,16 +171,26 @@ class TestMoments:
         assert np.all(np.isfinite(rel.values))
 
     def test_absurd_market_raises_fast(self):
-        # 2^j products of the Taylor factor with j ~ 29 here: the loop must
-        # stop at the first vector that overflows, not run them all
-        t0 = time.perf_counter()
-        with pytest.raises(MomentOverflowError):
-            moments(MarketParams(r=0.05, sigma=3000.0, T=1.0, S0=1.0, K=1.0), 20)
-        assert time.perf_counter() - t0 < 0.5
-        # sigma^2 = 1e308 is finite but the generator's degree-3 entry is not;
-        # numpy's overflow warning comes first, so it is silenced here
-        with np.errstate(over="ignore"), \
-                pytest.raises(MomentOverflowError, match="generator entries"):
+        # 2^j products of the Taylor factor, with j = 23 at r = -1e6, 29 at
+        # sigma = 3000 and 1003 at sigma = 1e150: none may run them all.  At
+        # r = -1e6 the loop stops at the first vector that overflows.  At
+        # sigma = 1e150 no vector ever overflows: the raw moments, and the
+        # relative ones of a narrow weight, raise because their
+        # geometric-average lower bound overflows; those of the default
+        # weight because their generator's subdiagonal underflows
+        huge = MarketParams(r=0.05, sigma=1e150, T=1.0, S0=1.0, K=1.0)
+        for market, kw in ((MarketParams(r=-1e6, sigma=0.3, T=1.0, S0=1.0, K=1.0), {}),
+                           (MarketParams(r=0.05, sigma=3000.0, T=1.0, S0=1.0, K=1.0), {}),
+                           (huge, {}),
+                           (huge, dict(kind="relative",
+                                       weight=default_weight(huge, mean_average(huge)))),
+                           (huge, dict(kind="relative", weight=WeightParams(mu=0.0, nu=0.3)))):
+            t0 = time.perf_counter()
+            with pytest.raises(MomentOverflowError):
+                moments(market, 20, **kw)
+            assert time.perf_counter() - t0 < 0.5, (market, kw)
+        # sigma^2 = 1e308 is finite but the generator's degree-3 entry is not
+        with pytest.raises(MomentOverflowError, match="generator entries"):
             moments(MarketParams(r=0.05, sigma=1e154, T=1.0, S0=1.0, K=1.0), 20)
 
     def test_validation(self):
