@@ -110,6 +110,16 @@ class TestPayoffNormSq:
 
 
 class TestLikelihoodCoefficients:
+    def test_ell0_is_one(self, cases):
+        for m in cases.values():
+            ap = price(m, 12)
+            assert abs(ap.ell[0] - 1.0) < 1e-10
+
+    def test_ell1_vanishes_with_default_weight(self, cases):
+        for m in cases.values():
+            ap = price(m, 12)
+            assert abs(ap.ell[1]) < 1e-10
+
     def test_kind_and_degree_validation(self):
         m = MarketParams(r=0.05, sigma=0.4, T=1.0, S0=1.0, K=1.0)
         ap = price(m, 6)
