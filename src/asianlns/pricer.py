@@ -47,19 +47,17 @@ def scaled_payoff_projections(weight: WeightParams, strike: float, N: int) -> np
     return lead * Phi[1:] - strike * Phi[:-1]
 
 
-def payoff_coefficients(market: MarketParams, weight: WeightParams,
-                        basis: OrthonormalBasis) -> np.ndarray:
+def payoff_coefficients(market: MarketParams, basis: OrthonormalBasis) -> np.ndarray:
     """Coefficients of the discounted payoff against the basis, in currency.
 
-    f = exp(-rT) S0 * cbar @ fbar with the strike normalized to K / S0.
-    A zero strike degenerates the payoff to the discounted average, a
-    degree-one polynomial: its coefficients beyond degree one vanish
-    identically for every degree-graded orthonormal family and are pinned
-    to exact zeros instead of being left as cancellation residue.
+    f = exp(-rT) S0 * cbar @ fbar with the strike normalized to K / S0 and
+    fbar taken against the basis's weight.  A zero strike degenerates the
+    payoff to the discounted average, a degree-one polynomial: its
+    coefficients beyond degree one vanish identically for every
+    degree-graded orthonormal family and are pinned to exact zeros instead
+    of being left as cancellation residue.
     """
-    if basis.weight != weight:
-        raise ValidationError("basis was built for a different weight", module="pricer")
-    fbar = scaled_payoff_projections(weight, market.K / market.S0, basis.N)
+    fbar = scaled_payoff_projections(basis.weight, market.K / market.S0, basis.N)
     f = math.exp(-market.r * market.T) * market.S0 * basis.solve_scaled(fbar)
     if market.K == 0.0 and basis.N >= 2:
         f[2:] = 0.0
@@ -274,7 +272,7 @@ def price(market: MarketParams, N: int = DEFAULT_ORDER,
             f"{0.5 * normalized.sigma**2 * normalized.T:.4g}", module="pricer")
 
     kernel = _kernel(market.r, market.sigma, market.T, N, weight.mu, weight.nu)
-    f = payoff_coefficients(market, kernel.weight, kernel.basis)
+    f = payoff_coefficients(market, kernel.basis)
     pi = float(f @ kernel.ell)
 
     norm_sq = payoff_norm_sq(market, kernel.weight)

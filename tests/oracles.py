@@ -1,8 +1,9 @@
 """Independent numerical oracles used by the tests.
 
 These deliberately avoid the library's computational paths: moments come
-from a hand-rolled RK4 integration of the moment ODE or a high-precision
-Taylor sum of its shifted generator, inner products from
+from a hand-rolled RK4 integration of the moment ODE or from the benchmark's
+high-precision series oracle (``perfbench/oracle.py::SeriesOracle``, which
+also gives series prices and densities), inner products from
 adaptive quadrature in log space, orthonormality checks from
 Gauss-Hermite quadrature, basis coefficients from a high-precision
 Cholesky factorization of the scaled Gram matrix, and the grid density
@@ -12,12 +13,31 @@ defect, which the library never needs, are evaluated here from a basis's
 coefficients.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.special import roots_hermite
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """The module ``perfbench/<name>.py``, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: the high-precision series oracle of the benchmark: SeriesOracle(r, sigma,
+#: T, mu, nu, n_max) of a unit-spot market and a weight, with the relative
+#: moments ``mbar`` (Decimal), ``price(S0, K, N)`` and ``density(x, N)``
+SeriesOracle = load_perfbench("oracle").SeriesOracle
 
 
 def rk4_moments(r, sigma, T, N, steps):
@@ -40,37 +60,6 @@ def rk4_moments(r, sigma, T, N, steps):
         k4 = G @ (m + h * k3)
         m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return m
-
-
-def mp_relative_moments(r, sigma, T, mu, nu2, N, dps=50):
-    """Relative moments E[(A_T/S0)^n] / s_n, n = 0..N, for the weight
-    (mu, nu2), summed in mpmath at ``dps`` digits.
-
-    The generator is that of the moment ODE with subdiagonal entry n
-    multiplied by exp(-mu + (1 - 2n) nu2 / 2).  Shifted by s = -min(diag, 0)
-    it is >= 0 entrywise, so every term of the Taylor series
-    sum_k ((G + sI) T)^k e_1 / k! is >= 0 and nothing cancels; the sum is
-    then scaled by exp(-sT).  It stops past the largest diagonal entry of
-    (G + sI) T, once every entry's term is below 10^-dps of its sum.
-    """
-    with mpmath.workdps(dps):
-        r, sigma, T, mu, nu2 = (mpmath.mpf(v) for v in (r, sigma, T, mu, nu2))
-        lam = [n * r + n * (n - 1) * sigma**2 / 2 for n in range(N + 1)]
-        s = -min(min(lam), 0)
-        diag = [(v + s) * T for v in lam]
-        sub = [0] + [n * mpmath.exp(-mu + (1 - 2 * n) * nu2 / 2) for n in range(1, N + 1)]
-        term = [mpmath.mpf(1)] + [mpmath.mpf(0)] * N
-        total = list(term)
-        tol = mpmath.mpf(10) ** -dps
-        k, kmin = 0, N + float(max(diag))
-        while True:
-            k += 1
-            term = [(diag[0] * term[0]) / k] + [
-                (diag[n] * term[n] + sub[n] * term[n - 1]) / k for n in range(1, N + 1)]
-            total = [a + b for a, b in zip(total, term)]
-            if k > kmin and all(t <= tol * a for t, a in zip(term, total)):
-                break
-        return np.array([float(a * mpmath.exp(-s * T)) for a in total])
 
 
 def quad_weighted(f, mu, nu, span=12.0):

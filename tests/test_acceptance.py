@@ -16,6 +16,7 @@ from asianlns import (MarketParams, WeightParams,
                       moments, orthonormal_basis, price, price_cv, density_cv,
                       reference_case, squared_relative_error)
 from asianlns.mc import _geo_malliavin_weight, _arith_malliavin_weight
+from asianlns.basis import CLOSED_FORM_ETA_MAX
 from asianlns.pricer import clear_kernel_cache
 from oracles import gram_identity_error, mp_cbar, rk4_moments
 
@@ -104,17 +105,23 @@ class TestAnalyticIdentitySuite:
                 "double-precision-feasible grid")
 
     def test_basis_vs_high_precision_oracle(self):
-        # on the kept degrees; the rows above them are exact zeros
-        for nu2, N in ((0.0051, 20), (0.0626, 20), (0.5, 40), (1.44, 20), (2.0, 20)):
+        # on the kept degrees 0..R, the degrees whose rounding estimate is in
+        # bounds; the rows above them are exact zeros.  A row of cbar does
+        # not depend on N, so (0.5, 40) covers every leading block at 0.5
+        for nu2, N, R in ((0.005, 10, 9), (0.0051, 20, 9), (0.02, 10, 10), (0.05, 10, 10),
+                          (0.0626, 20, 20), (0.125, 10, 10), (0.25, 10, 10), (0.5, 40, 40),
+                          (1.44, 20, 20), (2.0, 20, 20)):
             w = WeightParams(mu=-0.5 * nu2, nu=math.sqrt(nu2))
             b = orthonormal_basis(w, N)
-            m = b.resolvable_degree + 1
-            want = mp_cbar(w.nu2, N)[:m, :m]
-            np.testing.assert_allclose(b.cbar[:m, :m], want, rtol=1e-12, atol=0.0,
+            assert b.resolvable_degree == R, (nu2, N)
+            assert b.eta.shape == (N + 1,) and b.eta[:R + 1].max() <= CLOSED_FORM_ETA_MAX
+            assert R == N or b.eta[R + 1] > CLOSED_FORM_ETA_MAX
+            want = mp_cbar(w.nu2, N)[:R + 1, :R + 1]
+            np.testing.assert_allclose(b.cbar[:R + 1, :R + 1], want, rtol=1e-12, atol=0.0,
                                        err_msg=f"nu^2={nu2}, N={N}")
-            assert np.all(b.cbar[m:] == 0.0)
+            assert np.all(b.cbar[R + 1:] == 0.0)
         _report("basis coefficients vs 90-digit Cholesky oracle < 1e-12 rel on "
-                "the kept degrees for nu^2 in [0.0051, 2], N <= 40")
+                "the kept degrees for nu^2 in [0.005, 2], N <= 40")
 
     def test_moments_vs_rk4(self):
         for (r, sigma, T) in ((0.02, 0.10, 1.0), (0.05, 0.50, 1.0),

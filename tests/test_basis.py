@@ -9,9 +9,8 @@ from scipy.stats import lognorm
 
 from asianlns import (MarketParams, ValidationError, WeightParams,
                       default_weight, moments, orthonormal_basis, weight_density)
-from asianlns.basis import CLOSED_FORM_ETA_MAX
 
-from oracles import basis_evaluate, gauss_hermite_gram, mp_cbar, quad_weighted, weight_moment
+from oracles import basis_evaluate, gauss_hermite_gram, quad_weighted, weight_moment
 
 
 def _w(nu2, mu=None):
@@ -123,38 +122,6 @@ class TestOrthonormalBasis:
     def test_positive_leading_coefficients(self):
         b = orthonormal_basis(_w(0.2), 8)
         assert np.all(np.diag(b.cbar) > 0.0)
-
-    @staticmethod
-    def _assert_matches_oracle(w, N):
-        # cbar against the inverse of a 90-digit Cholesky factor of Mbar,
-        # entrywise on the kept block
-        b = orthonormal_basis(w, N)
-        m = b.resolvable_degree + 1
-        want = mp_cbar(w.nu2, N)[:m, :m]
-        np.testing.assert_allclose(b.cbar[:m, :m], want, rtol=1e-12, atol=0.0)
-        return b
-
-    @pytest.mark.parametrize("nu2", [0.005, 0.02, 0.05, 0.125, 0.25, 0.5])
-    def test_method_agreement_on_stable_block(self, nu2):
-        # the closed form agrees with a high-precision Cholesky construction
-        # on every degree it keeps, and keeps at least degrees 0..8
-        b = self._assert_matches_oracle(_w(nu2), 10)
-        assert b.resolvable_degree >= 8
-        # the kept degrees are those whose rounding estimate is in bounds
-        R = b.resolvable_degree
-        assert b.eta.shape == (11,) and b.eta[:R + 1].max() <= CLOSED_FORM_ETA_MAX
-        assert R == 10 or b.eta[R + 1] > CLOSED_FORM_ETA_MAX
-
-    def test_spec_example_agreement(self):
-        # mu=0, nu=0.5, N=6: every degree kept, entrywise agreement
-        b = self._assert_matches_oracle(WeightParams(mu=0.0, nu=0.5), 6)
-        assert b.resolvable_degree == 6
-
-    @pytest.mark.parametrize("nu2,N", [(0.0626, 20), (0.125, 10), (0.5, 12)])
-    def test_closed_form_factor(self, nu2, N):
-        # every degree kept, also where LAPACK breaks down on Mbar (0.0626, 20)
-        b = self._assert_matches_oracle(_w(nu2), N)
-        assert b.resolvable_degree == N
 
     def test_validation(self):
         with pytest.raises(ValidationError):

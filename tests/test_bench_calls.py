@@ -8,24 +8,19 @@ requests call the estimators below on ``McConfig(paths=, dt=, seed=)``.
 A library change that breaks the benchmark's traced run fails here.
 """
 
-import importlib.util
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import asianlns as lib
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from oracles import load_perfbench
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracing")
 
 
 def test_replay_price_reproduces_price(tracing, cases):

@@ -15,7 +15,13 @@ from asianlns import (MarketParams, MomentOverflowError, ValidationError,
                       mean_average, moments, price)
 from asianlns.basis import WeightParams, default_weight
 
-from oracles import mp_relative_moments, rk4_moments, weight_moment
+from oracles import SeriesOracle, rk4_moments, weight_moment
+
+
+def _oracle_relative_moments(market, weight, N):
+    """Relative moments 0..N of a unit-spot market from the series oracle."""
+    oracle = SeriesOracle(market.r, market.sigma, market.T, weight.mu, weight.nu, n_max=N)
+    return np.array([float(v) for v in oracle.mbar])
 
 
 class TestMarketParams:
@@ -102,14 +108,14 @@ class TestMoments:
             np.testing.assert_allclose(rel * weight_moment(w, np.arange(21)), raw, rtol=1e-12)
 
     def test_relative_vs_taylor_oracle(self, cases):
-        # the 50-digit oracle's degree-20 moments are the first 21 of its
-        # degree-40 ones, since the generator is lower triangular
+        # the oracle's degree-20 moments are the first 21 of its degree-40
+        # ones, since the generator is lower triangular
         markets = list(cases.values()) + [MarketParams(0.02, 0.01, 1.0, 1.0, 1.0),
                                           MarketParams(0.05, 1.2, 1.0, 1.0, 1.0)]
         for m in markets:
             norm = m.normalized()
             w = default_weight(norm, mean_average(norm))
-            want = mp_relative_moments(m.r, m.sigma, m.T, w.mu, w.nu2, 40)
+            want = _oracle_relative_moments(norm, w, 40)
             for N in (20, 40):
                 got = moments(norm, N, kind="relative", weight=w).values
                 np.testing.assert_allclose(got, want[:N + 1], rtol=1e-11, err_msg=f"{m} N={N}")
@@ -124,7 +130,7 @@ class TestMoments:
             m = MarketParams(rng.uniform(-0.02, 0.2), math.sqrt(tau / T), T, 1.0, 1.0)
             N = rng.choice([10, 15, 20])
             w = default_weight(m, mean_average(m))
-            want = mp_relative_moments(m.r, m.sigma, m.T, w.mu, w.nu2, N)
+            want = _oracle_relative_moments(m, w, N)
             got = moments(m, N, kind="relative", weight=w).values
             np.testing.assert_allclose(got, want, rtol=1e-11, err_msg=f"{m} N={N}")
 

@@ -5,20 +5,50 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
 from asianlns import (DensityApproximant, MarketParams, ValidationError, WeightParams,
                       benchmark_cases, default_weight, likelihood_coefficients,
-                      mean_average, moments, payoff_coefficients,
-                      orthonormal_basis, payoff_norm_sq, price,
+                      mean_average, moments, payoff_coefficients, payoff_norm_sq, price,
                       scaled_payoff_projections, weight_density)
 from asianlns.basis import CLOSED_FORM_ETA_MAX
 from asianlns.pricer import _d_values, _diagnostics, clear_kernel_cache
 
-from oracles import basis_evaluate, quad_payoff_moment, quad_payoff_norm_sq, weight_moment
+from oracles import (SeriesOracle, basis_evaluate, quad_payoff_moment, quad_payoff_norm_sq,
+                     weight_moment)
+
+
+def _assert_matches_oracle(ap, x=None):
+    """The price, and the density at the points x, against the series
+    oracle of the same market and weight at R = ``resolvable_degree``, the
+    degree of the series that ``price`` sums.
+
+    eta_n bounds the rounding noise of coefficient n per unit norm of the
+    projected function (``asianlns.basis``).  So sum_{n<=R} eta_n
+    (||F||_w + S0 ||ell||) estimates the rounding of the price f . ell, and
+    sum_{n<=R} eta_n (1 + ||ell||) that of the density in units of its
+    peak, ||ell|| being the norm of the computed ell.  Neither counts the
+    rounding of the cbar entries and of the sums themselves.  The worst
+    price miss found is 0.96 of its estimate, on the truncated market that
+    test_bounds_hold_or_are_flagged pins as an example (0.36 on 1,500
+    other markets of its domain); the worst density gap is 1.6 of its, at
+    N = 0 (the weight alone).  Both are checked at four times the estimate.
+    """
+    m, w, R = ap.market, ap.weight, ap.basis.resolvable_degree
+    oracle = SeriesOracle(m.r, m.sigma, m.T, w.mu, w.nu, n_max=R)
+    eta = float(ap.basis.eta[:R + 1].sum())
+    ell_norm = math.sqrt(float(ap.ell @ ap.ell))
+    miss = abs(ap.price - oracle.price(m.S0, m.K, R))
+    tol = 4.0 * eta * (math.sqrt(ap.payoff_norm_sq) + m.S0 * ell_norm)
+    assert miss <= tol, (miss, tol)
+    if x is not None:
+        want = np.array(oracle.density(x, R))
+        gap = np.max(np.abs(ap.density()(x) - want))
+        tol = 4.0 * eta * (1.0 + ell_norm) * np.max(np.abs(want))
+        assert gap <= tol, (gap, tol)
 
 
 def _default_weight_for(market):
@@ -48,15 +78,15 @@ class TestPayoffProjections:
         # doubles every coefficient
         m = cases[5]
         ap = price(m.normalized(), 12)
-        f1 = payoff_coefficients(m.normalized(), ap.weight, ap.basis)
-        f2 = payoff_coefficients(m, ap.weight, ap.basis)
+        f1 = payoff_coefficients(m.normalized(), ap.basis)
+        f2 = payoff_coefficients(m, ap.basis)
         np.testing.assert_allclose(f2, m.S0 * f1, rtol=1e-14)
         np.testing.assert_allclose(f1, ap.f, rtol=1e-14)
 
     def test_zero_strike_pins_high_degrees(self):
         m = MarketParams(r=0.05, sigma=0.5, T=1.0, S0=1.0, K=0.0)
         ap = price(m, 8)
-        f = payoff_coefficients(m, ap.weight, ap.basis)
+        f = payoff_coefficients(m, ap.basis)
         assert np.all(f[2:] == 0.0)
         # degree 0/1 match the weight-moment closed forms
         disc = math.exp(-m.r * m.T)
@@ -64,12 +94,6 @@ class TestPayoffProjections:
         beta1 = alpha0 * math.sqrt(math.expm1(ap.weight.nu2))
         assert f[0] == pytest.approx(disc * alpha0, rel=1e-12)
         assert f[1] == pytest.approx(disc * beta1, rel=1e-12)
-
-    def test_weight_mismatch_rejected(self, cases):
-        ap = price(cases[5], 6)
-        other = WeightParams(mu=ap.weight.mu + 0.1, nu=ap.weight.nu)
-        with pytest.raises(ValidationError):
-            payoff_coefficients(cases[5], other, ap.basis)
 
     def test_strike_at_exp_mu(self):
         # K = e^mu gives d_0 = 0, so the K Phi(d_0) subtraction is K/2
@@ -244,23 +268,6 @@ class TestPrice:
         assert [rec["code"] for rec in ap.diagnostics] == ["tau_above_rule"]
         assert abs(ap.price - 0.2494104739) < 1e-9
 
-    def test_price_independent_of_lapack_breakdown(self, cases, monkeypatch):
-        # a price must not depend on where a LAPACK build breaks down: with
-        # every LAPACK Cholesky failing, case 3 at N = 20 still gets an
-        # unjittered basis and the 60-digit value of its N = 20 series
-        def breakdown(a):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", breakdown)
-        clear_kernel_cache()
-        try:
-            ap = price(cases[3], 20)
-            assert orthonormal_basis(ap.weight, 20).jitter == 0.0
-            assert ap.diagnostics == ()
-            assert abs(ap.price - 0.1722547) < 1e-6
-        finally:
-            clear_kernel_cache()
-
 
 class TestDensityApprox:
     def test_order_zero_is_weight(self, cases):
@@ -282,13 +289,10 @@ class TestDensityApprox:
         val, _ = integrate.quad(integrand, -9.0, 8.0 + ap.N * w.nu, limit=400)
         return val
 
-    def test_unit_mass_clean_factorization(self, cases):
+    def test_unit_mass(self, cases):
+        # the density integrates to ell_0 = 1 by quadrature too
         assert self._quad_mass(price(cases[5], 20)) == pytest.approx(1.0, abs=1e-6)
         assert self._quad_mass(price(cases[3], 15)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_unit_mass_jittered_factorization(self, cases):
-        # case 3 at N = 20, where LAPACK's factor of Mbar once needed a
-        # diagonal jitter; the closed-form basis keeps the unit mass
         assert self._quad_mass(price(cases[3], 20)) == pytest.approx(1.0, abs=3e-6)
 
     def test_can_go_negative_in_tails(self, cases):
@@ -320,7 +324,9 @@ class TestDensityApprox:
     def test_log_normal_mixture(self, market, N):
         # the mixture sum_k coef_k LN(mu + k nu^2, nu) is the series
         # w sum_n ell_n b_n, from the far left tail out to where the degree-N
-        # terms still carry mass
+        # terms still carry mass; the price and, on every eighth point, the
+        # density are those of the oracle's series, and no pricer record is
+        # raised
         ap = price(market, N)
         w = ap.weight
         x = np.exp(np.linspace(w.mu - 9.0 * w.nu, w.mu + (8.0 + N * w.nu) * w.nu, 400))
@@ -328,6 +334,10 @@ class TestDensityApprox:
         dens = ap.density()
         assert np.max(np.abs(dens(x) - series)) <= 2e-8 * np.max(np.abs(series))
         assert abs(dens.coef.sum() - 1.0) <= 1e-7  # the mass, ell_0
+        _assert_matches_oracle(ap, x[::8])
+        codes = [rec["code"] for rec in ap.diagnostics]
+        assert codes == ["truncated"] * (ap.basis.resolvable_degree < N) \
+            + ["tau_above_rule"] * (market.tau > 0.5)
 
     def test_rejects_nonpositive(self, cases):
         ap = price(cases[3], 4)
@@ -486,7 +496,11 @@ class TestDiagnostics:
                 for N in (5, 10, 15, 20, 40):
                     price(market, N)
 
-    @settings(deadline=None, max_examples=200, derandomize=True)
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    # a truncated market whose price misses the oracle by 1.58e-5 (R = 6)
+    @example(r=-0.005607696534937971, log_T=math.log(0.4154177826070024),
+             log_tau=math.log(0.031836804844670615**2 * 0.4154177826070024),
+             K=0.2800845897589602, N=20)
     @given(r=st.one_of(st.just(0.0), st.floats(-0.05, 0.25)),
            log_T=st.floats(math.log(1e-3), math.log(5.0)),
            log_tau=st.floats(math.log(1e-4), math.log(1.5)),
@@ -494,7 +508,8 @@ class TestDiagnostics:
            N=st.sampled_from([5, 10, 15, 20]))
     def test_bounds_hold_or_are_flagged(self, r, log_T, log_tau, K, N):
         # S0 = 1; each no-arbitrage bound holds to 1e-8 or its code is
-        # present, and no code is present where its bound holds
+        # present, no code is present where its bound holds, and the price
+        # is that of the oracle's series of degree R
         T = math.exp(log_T)
         sigma = math.sqrt(math.exp(log_tau) / T)
         ap = price(MarketParams(r=r, sigma=sigma, T=T, S0=1.0, K=K), N)
@@ -513,3 +528,4 @@ class TestDiagnostics:
             assert (miss > 1e-8) == (code in codes), (code, miss)
         assert ("tau_above_rule" in codes) == (sigma**2 * T > 0.5)
         assert ("truncated" in codes) == (ap.basis.resolvable_degree < N)
+        _assert_matches_oracle(ap)
